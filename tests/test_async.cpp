@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -389,6 +390,99 @@ struct SpgemmRun {
     }
   }
 };
+
+/// One row of the schedule pins: a plan shape at one schedule (tile 0 =
+/// sync) and the ledger, overlap and fault-injector numbers it must charge.
+struct SchedulePin {
+  int p1, p2, p3;
+  dist::Variant1D v1;
+  dist::Variant2D v2;
+  int tile;
+  double words, msgs, comm_seconds, compute_seconds;
+  std::uint64_t windows;
+  double saved_seconds;
+  std::uint64_t charge_points;
+};
+
+// Pinned from the separate sync and pipelined 2D drivers, before they shared
+// any code, so a change that moves both schedules together still shows.
+// Three 2D variants on four grids, plus two 3D plans. The 3D-B,AC plan's
+// layers own 4 and 5 of the 9 frontier rows over lcm(2,3) = 6 steps, so
+// both layers have empty steps.
+const SchedulePin kSchedulePins[] = {
+    {1, 2, 2, dist::Variant1D::kA, dist::Variant2D::kAB, 0, 0x1.3fcp+10, 0x1.6p+4, 0x1.7f6774b9c6c12p-15, 0x1.afa4eb28cfcf6p-22, 0, 0x0p+0, 12},
+    {1, 2, 2, dist::Variant1D::kA, dist::Variant2D::kAB, 1, 0x1.3fcp+10, 0x1.6p+4, 0x1.7e4365ef5c2cep-15, 0x1.afa4eb28cfcf6p-22, 2, 0x1.240eca6a943fep-23, 12},
+    {1, 2, 2, dist::Variant1D::kA, dist::Variant2D::kAB, 2, 0x1.3fcp+10, 0x1.6p+4, 0x1.7e4365ef5c2cep-15, 0x1.afa4eb28cfcf6p-22, 2, 0x1.240eca6a943fep-23, 12},
+    {1, 2, 3, dist::Variant1D::kA, dist::Variant2D::kAB, 0, 0x1.218p+10, 0x1.c8p+5, 0x1.e4a06ce143962p-14, 0x1.0e953b8863b3bp-21, 0, 0x0p+0, 34},
+    {1, 2, 3, dist::Variant1D::kA, dist::Variant2D::kAB, 1, 0x1.218p+10, 0x1.c8p+5, 0x1.e3245219d33adp-14, 0x1.0e953b8863b3bp-21, 6, 0x1.7c1ac7705b4bbp-22, 34},
+    {1, 2, 3, dist::Variant1D::kA, dist::Variant2D::kAB, 2, 0x1.218p+10, 0x1.c8p+5, 0x1.e3245219d33adp-14, 0x1.0e953b8863b3bp-21, 6, 0x1.7c1ac7705b4bbp-22, 34},
+    {1, 3, 2, dist::Variant1D::kA, dist::Variant2D::kAB, 0, 0x1.224p+10, 0x1.c8p+5, 0x1.e4a4b8643d9fcp-14, 0x1.15067fff72442p-21, 0, 0x0p+0, 34},
+    {1, 3, 2, dist::Variant1D::kA, dist::Variant2D::kAB, 1, 0x1.224p+10, 0x1.c8p+5, 0x1.e3041bc37ff1ep-14, 0x1.15067fff72442p-21, 6, 0x1.a09ca0bdadd3ap-22, 34},
+    {1, 3, 2, dist::Variant1D::kA, dist::Variant2D::kAB, 2, 0x1.224p+10, 0x1.c8p+5, 0x1.e3041bc37ff1ep-14, 0x1.15067fff72442p-21, 6, 0x1.a09ca0bdadd3ap-22, 34},
+    {1, 4, 4, dist::Variant1D::kA, dist::Variant2D::kAB, 0, 0x1.d28p+9, 0x1.ep+5, 0x1.fc88c0f313a22p-14, 0x1.8b2311db7d476p-23, 0, 0x0p+0, 36},
+    {1, 4, 4, dist::Variant1D::kA, dist::Variant2D::kAB, 1, 0x1.d28p+9, 0x1.ep+5, 0x1.fc07e799c67eep-14, 0x1.8b2311db7d476p-23, 4, 0x1.01b2b29a4692cp-23, 36},
+    {1, 4, 4, dist::Variant1D::kA, dist::Variant2D::kAB, 2, 0x1.d28p+9, 0x1.ep+5, 0x1.fc07e799c67eep-14, 0x1.8b2311db7d476p-23, 4, 0x1.01b2b29a4692cp-23, 36},
+    {1, 2, 2, dist::Variant1D::kA, dist::Variant2D::kAC, 0, 0x1.97cp+10, 0x1.6p+4, 0x1.835757744fa7ap-15, 0x1.84b1cd646eb6ep-22, 0, 0x0p+0, 12},
+    {1, 2, 2, dist::Variant1D::kA, dist::Variant2D::kAC, 1, 0x1.97cp+10, 0x1.6p+4, 0x1.821dcf1b02e2dp-15, 0x1.84b1cd646eb6ep-22, 2, 0x1.3988594cc4cc2p-23, 12},
+    {1, 2, 2, dist::Variant1D::kA, dist::Variant2D::kAC, 2, 0x1.97cp+10, 0x1.6p+4, 0x1.821dcf1b02e2dp-15, 0x1.84b1cd646eb6ep-22, 2, 0x1.3988594cc4cc2p-23, 12},
+    {1, 2, 3, dist::Variant1D::kA, dist::Variant2D::kAC, 0, 0x1.5bcp+10, 0x1.c8p+5, 0x1.e5ee004874883p-14, 0x1.421f5f40d8376p-22, 0, 0x0p+0, 34},
+    {1, 2, 3, dist::Variant1D::kA, dist::Variant2D::kAC, 1, 0x1.5bcp+10, 0x1.c8p+5, 0x1.e4fd7ba1c2688p-14, 0x1.421f5f40d8376p-22, 6, 0x1.e1094d643f784p-23, 34},
+    {1, 2, 3, dist::Variant1D::kA, dist::Variant2D::kAC, 2, 0x1.5bcp+10, 0x1.c8p+5, 0x1.e4fd7ba1c2688p-14, 0x1.421f5f40d8376p-22, 6, 0x1.e1094d643f784p-23, 34},
+    {1, 3, 2, dist::Variant1D::kA, dist::Variant2D::kAC, 0, 0x1.77p+10, 0x1.c8p+5, 0x1.e68a0d349be9p-14, 0x1.353cd652bb168p-22, 0, 0x0p+0, 34},
+    {1, 3, 2, dist::Variant1D::kA, dist::Variant2D::kAC, 1, 0x1.77p+10, 0x1.c8p+5, 0x1.e59762cc6cc47p-14, 0x1.353cd652bb168p-22, 6, 0x1.e554d05e492dfp-23, 34},
+    {1, 3, 2, dist::Variant1D::kA, dist::Variant2D::kAC, 2, 0x1.77p+10, 0x1.c8p+5, 0x1.e59762cc6cc47p-14, 0x1.353cd652bb168p-22, 6, 0x1.e554d05e492dfp-23, 34},
+    {1, 4, 4, dist::Variant1D::kA, dist::Variant2D::kAC, 0, 0x1.0e4p+10, 0x1.ep+5, 0x1.fd5ca385ed812p-14, 0x1.421f5f40d8376p-23, 0, 0x0p+0, 36},
+    {1, 4, 4, dist::Variant1D::kA, dist::Variant2D::kAC, 1, 0x1.0e4p+10, 0x1.ep+5, 0x1.fcecf8388884cp-14, 0x1.421f5f40d8376p-23, 4, 0x1.bead3593f1cb2p-24, 36},
+    {1, 4, 4, dist::Variant1D::kA, dist::Variant2D::kAC, 2, 0x1.0e4p+10, 0x1.ep+5, 0x1.fcecf8388884cp-14, 0x1.421f5f40d8376p-23, 4, 0x1.bead3593f1cb2p-24, 36},
+    {1, 2, 2, dist::Variant1D::kA, dist::Variant2D::kBC, 0, 0x1.9f4p+10, 0x1.6p+4, 0x1.83ad3dafd869dp-15, 0x1.a2c2623ab2ae7p-22, 0, 0x0p+0, 12},
+    {1, 2, 2, dist::Variant1D::kA, dist::Variant2D::kBC, 1, 0x1.9f4p+10, 0x1.6p+4, 0x1.8237942cdf1d1p-15, 0x1.a2c2623ab2ae7p-22, 2, 0x1.75a982f94cbb3p-23, 12},
+    {1, 2, 2, dist::Variant1D::kA, dist::Variant2D::kBC, 2, 0x1.9f4p+10, 0x1.6p+4, 0x1.8237942cdf1d1p-15, 0x1.a2c2623ab2ae7p-22, 2, 0x1.75a982f94cbb3p-23, 12},
+    {1, 2, 3, dist::Variant1D::kA, dist::Variant2D::kBC, 0, 0x1.7cp+10, 0x1.c8p+5, 0x1.e6a6af487429bp-14, 0x1.5798ee2308c3ap-22, 0, 0x0p+0, 34},
+    {1, 2, 3, dist::Variant1D::kA, dist::Variant2D::kBC, 1, 0x1.7cp+10, 0x1.c8p+5, 0x1.e58f8306f7b28p-14, 0x1.5798ee2308c3ap-22, 6, 0x1.172c417c771efp-22, 34},
+    {1, 2, 3, dist::Variant1D::kA, dist::Variant2D::kBC, 2, 0x1.7cp+10, 0x1.c8p+5, 0x1.e58f8306f7b29p-14, 0x1.5798ee2308c3ap-22, 6, 0x1.172c417c771efp-22, 34},
+    {1, 3, 2, dist::Variant1D::kA, dist::Variant2D::kBC, 0, 0x1.50cp+10, 0x1.c8p+5, 0x1.e5af021ccbf9bp-14, 0x1.26348be7991acp-22, 0, 0x0p+0, 34},
+    {1, 3, 2, dist::Variant1D::kA, dist::Variant2D::kBC, 1, 0x1.50cp+10, 0x1.c8p+5, 0x1.e4be7d7619dap-14, 0x1.26348be7991acp-22, 6, 0x1.e1094d643f785p-23, 34},
+    {1, 3, 2, dist::Variant1D::kA, dist::Variant2D::kBC, 2, 0x1.50cp+10, 0x1.c8p+5, 0x1.e4be7d7619dap-14, 0x1.26348be7991acp-22, 6, 0x1.e1094d643f785p-23, 34},
+    {1, 4, 4, dist::Variant1D::kA, dist::Variant2D::kBC, 0, 0x1.204p+10, 0x1.ep+5, 0x1.fdc3b7cd5e6a4p-14, 0x1.68c6fa0b2f9a3p-23, 0, 0x0p+0, 36},
+    {1, 4, 4, dist::Variant1D::kA, dist::Variant2D::kBC, 1, 0x1.204p+10, 0x1.ep+5, 0x1.fd3821aca02eap-14, 0x1.68c6fa0b2f9a3p-23, 4, 0x1.172c417c771efp-23, 36},
+    {1, 4, 4, dist::Variant1D::kA, dist::Variant2D::kBC, 2, 0x1.204p+10, 0x1.ep+5, 0x1.fd3821aca02eap-14, 0x1.68c6fa0b2f9a3p-23, 4, 0x1.172c417c771efp-23, 36},
+    {2, 2, 3, dist::Variant1D::kB, dist::Variant2D::kAC, 0, 0x1.188p+10, 0x1.ep+5, 0x1.fd97562e9c05ep-14, 0x1.6d127d05394fep-23, 0, 0x0p+0, 55},
+    {2, 2, 3, dist::Variant1D::kB, dist::Variant2D::kAC, 1, 0x1.188p+10, 0x1.ep+5, 0x1.fd930aaba1fc3p-14, 0x1.6d127d05394fep-23, 9, 0x1.b6162f9fde5fep-24, 55},
+    {2, 2, 3, dist::Variant1D::kB, dist::Variant2D::kAC, 2, 0x1.188p+10, 0x1.ep+5, 0x1.fd930aaba1fc3p-14, 0x1.6d127d05394fep-23, 9, 0x1.b6162f9fde5fep-24, 55},
+    {2, 2, 2, dist::Variant1D::kC, dist::Variant2D::kBC, 0, 0x1.ae8p+10, 0x1.fp+4, 0x1.0dad4de7a5a75p-14, 0x1.d87247702c0dp-23, 0, 0x0p+0, 24},
+    {2, 2, 2, dist::Variant1D::kC, dist::Variant2D::kBC, 1, 0x1.ae8p+10, 0x1.fp+4, 0x1.0dad4de7a5a75p-14, 0x1.d87247702c0dp-23, 4, 0x1.466ae23ae1ed1p-24, 24},
+    {2, 2, 2, dist::Variant1D::kC, dist::Variant2D::kBC, 2, 0x1.ae8p+10, 0x1.fp+4, 0x1.0dad4de7a5a75p-14, 0x1.d87247702c0dp-23, 4, 0x1.466ae23ae1ed1p-24, 24},
+};
+
+TEST(PipelinedSpgemm, SchedulePinsHoldForEveryShapeAndTile) {
+  const Csr<Multpath> expected = sparse::spgemm<MultpathMonoid>(
+      random_frontier(9, 23, 0.3, 77), random_csr(23, 23, 0.2, 88),
+      BellmanFordAction{});
+  for (const SchedulePin& pin : kSchedulePins) {
+    Plan plan;
+    plan.p1 = pin.p1;
+    plan.p2 = pin.p2;
+    plan.p3 = pin.p3;
+    plan.v1 = pin.v1;
+    plan.v2 = pin.v2;
+    if (pin.tile > 0) {
+      plan.sched = dist::Sched::kAsync;
+      plan.tile = pin.tile;
+    }
+    SpgemmRun run(plan.total_ranks(), plan, "trace");
+    const sim::Cost crit = run.sim.ledger().critical();
+    const std::string at = plan.to_string();
+    ASSERT_EQ(run.c, expected) << at;
+    EXPECT_EQ(crit.words, pin.words) << at;
+    EXPECT_EQ(crit.msgs, pin.msgs) << at;
+    EXPECT_EQ(crit.comm_seconds, pin.comm_seconds) << at;
+    EXPECT_EQ(crit.compute_seconds, pin.compute_seconds) << at;
+    EXPECT_EQ(run.sim.overlap_windows(), pin.windows) << at;
+    EXPECT_EQ(run.sim.overlap_saved_seconds(), pin.saved_seconds) << at;
+    EXPECT_EQ(run.charge_points, pin.charge_points) << at;
+  }
+}
+
 
 TEST(PipelinedSpgemm, MatchesSyncBitIdenticallyAndNeverCostsMore) {
   for (int p : {4, 16}) {
