@@ -14,7 +14,6 @@
 #include "algebra/multpath.hpp"
 #include "benchsupport/harness.hpp"
 #include "benchsupport/table.hpp"
-#include "dist/pipeline.hpp"
 #include "dist/spgemm_dist.hpp"
 #include "graph/generators.hpp"
 #include "sparse/ops.hpp"

@@ -14,7 +14,6 @@
 #include "baseline/combblas_bc.hpp"
 #include "benchsupport/harness.hpp"
 #include "benchsupport/table.hpp"
-#include "dist/pipeline.hpp"
 #include "dist/spgemm_dist.hpp"
 #include "graph/generators.hpp"
 #include "mfbc/mfbc_dist.hpp"

@@ -54,17 +54,6 @@ struct BfsFields {
   }
 };
 
-/// Componentwise critical-path delta, for the per-phase cost breakdown.
-sim::Cost cost_delta(const sim::Cost& now, const sim::Cost& then) {
-  sim::Cost d;
-  d.words = now.words - then.words;
-  d.msgs = now.msgs - then.msgs;
-  d.comm_seconds = now.comm_seconds - then.comm_seconds;
-  d.compute_seconds = now.compute_seconds - then.compute_seconds;
-  d.ops = now.ops - then.ops;
-  return d;
-}
-
 }  // namespace
 
 /// Per-batch dense BFS state on the (square) state grid.
@@ -248,6 +237,7 @@ void CombBlasBc::run_batch(const CombBlasOptions& opts,
 
   Batch batch(batch_sources, n, p);
   const Layout& sl = batch.layout();
+  const auto nblocks = static_cast<std::size_t>(sl.nranks());
 
   telemetry::Span batch_span("baseline.batch");
   batch_span.attr("index", static_cast<std::int64_t>(batch_index));
@@ -300,11 +290,10 @@ void CombBlasBc::run_batch(const CombBlasOptions& opts,
     // block and bin; compute charges depend only on the product block sizes,
     // so they are issued serially after the barrier in the (i,j) order.
     auto bins = dist::empty_bins<double>(sl, n);
-    support::parallel_for(
-        static_cast<std::size_t>(sl.pr) * static_cast<std::size_t>(sl.pc),
+    support::parallel_for_replay(
+        nblocks,
         [&](std::size_t t) {
-          const int i = static_cast<int>(t) / sl.pc;
-          const int j = static_cast<int>(t) % sl.pc;
+          const auto [i, j] = sl.grid_pos(t);
           auto& blk = batch.at(i, j);
           const auto& rb = reached.block(i, j);
           auto& bin = bins[t];
@@ -320,20 +309,19 @@ void CombBlasBc::run_batch(const CombBlasOptions& opts,
               bin.push(lr, cols[x], vals[x]);
             }
           }
+        },
+        [&](std::size_t t) {
+          const auto [i, j] = sl.grid_pos(t);
+          sim_.charge_compute(sl.rank_at(i, j),
+                              static_cast<double>(reached.block(i, j).nnz()));
         });
-    for (int i = 0; i < sl.pr; ++i) {
-      for (int j = 0; j < sl.pc; ++j) {
-        sim_.charge_compute(sl.rank_at(i, j),
-                            static_cast<double>(reached.block(i, j).nnz()));
-      }
-    }
     frontier = dist::from_blocks<Keep<double>>(batch.nb(), n, sl, std::move(bins));
     if (frontier.nnz() > 0) max_level = level;
     sim_.charge_allreduce(all_ranks, 1.0);
   }
 
   const sim::Cost after_forward = sim_.ledger().critical();
-  const sim::Cost fwd_delta = cost_delta(after_forward, before_forward);
+  const sim::Cost fwd_delta = after_forward - before_forward;
   if (forward_span.active()) {
     forward_span.attr("crit_words_delta", fwd_delta.words);
     forward_span.attr("crit_msgs_delta", fwd_delta.msgs);
@@ -352,11 +340,10 @@ void CombBlasBc::run_batch(const CombBlasOptions& opts,
   for (vid_t lvl = max_level; lvl >= 1; --lvl) {
     telemetry::count("baseline.backward.iterations");
     auto bins = dist::empty_bins<double>(sl, n);
-    support::parallel_for(
-        static_cast<std::size_t>(sl.pr) * static_cast<std::size_t>(sl.pc),
+    support::parallel_for_replay(
+        nblocks,
         [&](std::size_t t) {
-          const int i = static_cast<int>(t) / sl.pc;
-          const int j = static_cast<int>(t) % sl.pc;
+          const auto [i, j] = sl.grid_pos(t);
           auto& blk = batch.at(i, j);
           auto& bin = bins[t];
           for (vid_t s = blk.rows.lo; s < blk.rows.hi; ++s) {
@@ -368,15 +355,14 @@ void CombBlasBc::run_batch(const CombBlasOptions& opts,
               }
             }
           }
+        },
+        [&](std::size_t t) {
+          const auto [i, j] = sl.grid_pos(t);
+          const auto& blk = batch.at(i, j);
+          sim_.charge_compute(sl.rank_at(i, j),
+                              static_cast<double>(blk.rows.size()) *
+                                  static_cast<double>(blk.cols.size()));
         });
-    for (int i = 0; i < sl.pr; ++i) {
-      for (int j = 0; j < sl.pc; ++j) {
-        auto& blk = batch.at(i, j);
-        sim_.charge_compute(sl.rank_at(i, j),
-                            static_cast<double>(blk.rows.size()) *
-                                static_cast<double>(blk.cols.size()));
-      }
-    }
     DistMatrix<double> w = dist::from_blocks<Keep<double>>(batch.nb(), n, sl, std::move(bins));
     telemetry::observe("baseline.backward.frontier_nnz",
                        static_cast<double>(w.nnz()));
@@ -394,11 +380,10 @@ void CombBlasBc::run_batch(const CombBlasOptions& opts,
       stats->backward.product_nnz.push_back(u.nnz());
       stats->backward.total_ops += static_cast<nnz_t>(dst.total_ops);
     }
-    support::parallel_for(
-        static_cast<std::size_t>(sl.pr) * static_cast<std::size_t>(sl.pc),
+    support::parallel_for_replay(
+        nblocks,
         [&](std::size_t t) {
-          const int i = static_cast<int>(t) / sl.pc;
-          const int j = static_cast<int>(t) % sl.pc;
+          const auto [i, j] = sl.grid_pos(t);
           auto& blk = batch.at(i, j);
           const auto& ub = u.block(i, j);
           for (vid_t lr = 0; lr < ub.nrows(); ++lr) {
@@ -412,13 +397,12 @@ void CombBlasBc::run_batch(const CombBlasOptions& opts,
               }
             }
           }
+        },
+        [&](std::size_t t) {
+          const auto [i, j] = sl.grid_pos(t);
+          sim_.charge_compute(sl.rank_at(i, j),
+                              static_cast<double>(u.block(i, j).nnz()));
         });
-    for (int i = 0; i < sl.pr; ++i) {
-      for (int j = 0; j < sl.pc; ++j) {
-        sim_.charge_compute(sl.rank_at(i, j),
-                            static_cast<double>(u.block(i, j).nnz()));
-      }
-    }
   }
 
   // Accumulate BC (sources excluded, as in Brandes). Grid columns own
@@ -446,8 +430,7 @@ void CombBlasBc::run_batch(const CombBlasOptions& opts,
                               static_cast<double>(blk.cols.size()));
     }
   }
-  const sim::Cost bwd_delta =
-      cost_delta(sim_.ledger().critical(), after_forward);
+  const sim::Cost bwd_delta = sim_.ledger().critical() - after_forward;
   if (backward_span.active()) {
     backward_span.attr("crit_words_delta", bwd_delta.words);
     backward_span.attr("crit_msgs_delta", bwd_delta.msgs);

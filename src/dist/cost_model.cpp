@@ -49,11 +49,16 @@ std::string Plan::to_string() const {
   }
   // Sync plans keep their historical names (profile files and test pins
   // depend on them); the schedule dimension only shows when it is active.
-  if (is_async()) os << "+async(t" << std::max(tile, 1) << ")";
+  if (is_async()) os << "+" << schedule_name(*this);
   // Same pinning rule for the distribution dimension: block plans keep
   // their historical names.
   if (is_balanced()) os << "+bal";
   return os.str();
+}
+
+std::string schedule_name(const Plan& plan) {
+  if (!plan.is_async()) return "sync";
+  return "async(t" + std::to_string(std::max(plan.tile, 1)) + ")";
 }
 
 MultiplyStats MultiplyStats::estimated(sparse::vid_t m, sparse::vid_t k,

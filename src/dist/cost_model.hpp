@@ -25,11 +25,12 @@ using sparse::nnz_t;
 enum class Variant1D { kA, kB, kC };
 enum class Variant2D { kAB, kAC, kBC };
 
-/// Communication schedule of a plan's 2D level: kSync issues the blocking
-/// lcm-step broadcast/reduce schedule; kAsync runs the pipelined driver
-/// (dist/pipeline.hpp) that posts step k+1's broadcasts as nonblocking
-/// collectives inside step k's overlap window. Charged results differ only
-/// by the overlap credit — outputs are bit-identical (sim/async.hpp).
+/// Communication schedule of a plan's 2D level, a charge policy of the one
+/// 2D driver (detail::spgemm_2d in dist/spgemm_dist.hpp): kSync charges the
+/// blocking lcm-step broadcast/reduce schedule; kAsync posts step k+1's
+/// broadcasts as nonblocking collectives inside step k's overlap window.
+/// Charged results differ only by the overlap credit — outputs are
+/// bit-identical (sim/async.hpp).
 enum class Sched { kSync, kAsync };
 
 /// Data-distribution dimension of a plan (docs/partitioning.md): kBlock is
@@ -82,6 +83,10 @@ struct Plan {
 
   friend bool operator==(const Plan&, const Plan&) = default;
 };
+
+/// Human-readable schedule tag for tables and --explain-plan: "sync" or
+/// "async(tN)".
+std::string schedule_name(const Plan& plan);
 
 /// Problem statistics the model needs. nnz_c and ops may be exact (measured
 /// on a previous iteration) or the §5.2 uniform estimates.

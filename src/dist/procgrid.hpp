@@ -7,6 +7,8 @@
 // 1D dimension, p2×p3 = the 2D grid).
 #pragma once
 
+#include <cstddef>
+#include <utility>
 #include <vector>
 
 #include "sparse/types.hpp"
@@ -67,6 +69,10 @@ struct Layout {
 
   int nranks() const { return pr * pc; }
   int rank_at(int i, int j) const { return rank0 + i * pc + j; }
+  /// Grid position (i,j) of the t-th block in row-major grid order.
+  std::pair<int, int> grid_pos(std::size_t t) const {
+    return {static_cast<int>(t) / pc, static_cast<int>(t) % pc};
+  }
 
   int row_splits() const { return transposed ? pc : pr; }
   int col_splits() const { return transposed ? pr : pc; }

@@ -27,7 +27,6 @@
 #include "dist/autotune.hpp"
 #include "dist/cost_model.hpp"
 #include "dist/dmatrix.hpp"
-#include "dist/pipeline.hpp"
 #include "sim/charge_log.hpp"
 #include "sim/faults.hpp"
 #include "sparse/spgemm.hpp"
@@ -47,8 +46,8 @@ struct DistSpgemmStats {
   /// dist.imbalance.ops gauge and bench_partition's measured imbalance.
   std::vector<double> rank_ops;
 
-  /// Record `ops` charged against `rank` (shared hook of the sync and
-  /// pipelined 2D drivers).
+  /// Record `ops` charged against `rank` (the 2D driver's per-multiply
+  /// hook).
   void note_rank_ops(int rank, double ops) {
     const auto r = static_cast<std::size_t>(rank);
     if (r >= rank_ops.size()) rank_ops.resize(r + 1, 0.0);
@@ -361,22 +360,34 @@ std::vector<DistMatrix<T>> replicate_layers(sim::Sim& sim,
 }
 
 /// One layer's 2D multiply: operands must already sit on homes_2d layouts.
+/// Only plan.v2 and the schedule fields of `plan` are read.
 ///
-/// Charger is duck-typed over sim::Sim and sim::ChargeLog: the outer 3D
-/// driver runs layers concurrently, handing each layer a private ChargeLog
-/// that it replays into the real Sim in layer order at the barrier.
+/// The outer 3D driver runs layers concurrently, handing each layer a
+/// private ChargeLog that it replays into the real Sim in layer order at the
+/// barrier. Within a layer the per-(i,j) block multiplies of each step run
+/// on the thread pool; charges and stats are deferred into per-index slots
+/// and replayed in the serial iteration order after each region, so ledger
+/// state and stats sums are bit-identical to the serial schedule.
 ///
-/// Within a layer the per-(i,j) block multiplies of each step run on the
-/// thread pool; charges and stats are deferred into per-index slots and
-/// applied in the serial iteration order after each region, so ledger state
-/// and stats sums are bit-identical to the serial schedule.
-template <algebra::Monoid M, typename Charger, typename TA, typename TB,
-          typename F>
-DistMatrix<typename M::value_type> spgemm_2d(Charger& sim, Variant2D v2,
+/// The schedule is a charge policy only: both schedules emit the same
+/// charge sequence — every collective and compute, with its group, payload
+/// and position — so outputs, fault schedules and ABFT checksums are
+/// bit-identical between them. Per active step the loop runs the step's
+/// multiplies, drops the step's slices, builds the next step's and charges
+/// their broadcasts. The sync schedule charges every broadcast plainly. The
+/// async schedule wraps each step's multiplies in an overlap window
+/// (sim/async.hpp), posts the first ceil(bcasts/tile) of the next step's
+/// broadcasts inside it as nonblocking collectives, and charges the rest
+/// plainly after the window closes; only the windows' overlap credits
+/// differ. Neither schedule holds two steps' slices at once.
+template <algebra::Monoid M, typename TA, typename TB, typename F>
+DistMatrix<typename M::value_type> spgemm_2d(sim::ChargeLog& log,
+                                             const Plan& plan,
                                              const DistMatrix<TA>& a,
                                              const DistMatrix<TB>& b, F f,
                                              DistSpgemmStats* st) {
   using TC = typename M::value_type;
+  const Variant2D v2 = plan.v2;
   const Range rm = a.layout().rows;
   const Range rk = a.layout().cols;
   const Range rn = b.layout().cols;
@@ -390,10 +401,18 @@ DistMatrix<typename M::value_type> spgemm_2d(Charger& sim, Variant2D v2,
   const Layout cl = Layout{rank0, p2, p3, rm, rn, false};
   DistMatrix<TC> c(a.nrows(), b.ncols(), cl);
 
+  // Multiplies charged while a window is open are tagged as overlapped
+  // work; the ledger effect equals charge_compute either way.
+  bool in_window = false;
   auto charge_multiply = [&](int rank, const sparse::SpgemmStats& s,
                              nnz_t union_touched) {
-    sim.charge_compute(rank, static_cast<double>(s.ops) +
-                                 static_cast<double>(union_touched));
+    const double ops =
+        static_cast<double>(s.ops) + static_cast<double>(union_touched);
+    if (in_window) {
+      log.overlap_compute(rank, ops);
+    } else {
+      log.charge_compute(rank, ops);
+    }
     if (st != nullptr) {
       st->total_ops += static_cast<double>(s.ops);
       st->note_rank_ops(rank, static_cast<double>(s.ops));
@@ -410,114 +429,139 @@ DistMatrix<typename M::value_type> spgemm_2d(Charger& sim, Variant2D v2,
     return c;
   }
 
+  // Each variant cuts one dimension into lcm(p2,p3) steps: AB the inner k,
+  // AC the rows of A and C, BC the columns of B and C. Steps whose range is
+  // empty charge nothing and are skipped.
   const int steps = std::lcm(p2, p3);
+  const Range split = v2 == Variant2D::kAB   ? rk
+                      : v2 == Variant2D::kAC ? rm
+                                             : rn;
+  std::vector<int> active;
   for (int step = 0; step < steps; ++step) {
+    if (split_range(split, steps, step).size() > 0) active.push_back(step);
+  }
+
+  // The current step's slices: A's along grid rows (AB, AC) and B's along
+  // grid columns (AB, BC). Slicing is pure per grid row or column.
+  std::vector<Csr<TA>> a_slice;
+  std::vector<Csr<TB>> b_slice;
+  auto build_slices = [&](int step) {
+    const Range r = split_range(split, steps, step);
+    if (v2 != Variant2D::kBC) {
+      const int ja = step / (steps / p3);  // AB: k split by p3; AC: A
+                                           // transposed, m split by p3
+      const Range a_rows = a.layout().block_rows(0, ja);
+      a_slice.resize(static_cast<std::size_t>(p2));
+      support::parallel_for(a_slice.size(), [&](std::size_t i) {
+        const auto& blk = a.block(static_cast<int>(i), ja);
+        a_slice[i] = v2 == Variant2D::kAB
+                         ? sparse::slice_cols(blk, r.lo, r.hi)
+                         : sparse::slice_rows(blk, r.lo - a_rows.lo,
+                                              r.hi - a_rows.lo);
+      });
+    }
+    if (v2 != Variant2D::kAC) {
+      const int ib = step / (steps / p2);  // AB: k split by p2; BC: B
+                                           // transposed, n split by p2
+      const Range b_rows = b.layout().block_rows(ib, 0);
+      b_slice.resize(static_cast<std::size_t>(p3));
+      support::parallel_for(b_slice.size(), [&](std::size_t j) {
+        const auto& blk = b.block(ib, static_cast<int>(j));
+        b_slice[j] = v2 == Variant2D::kAB
+                         ? sparse::slice_rows(blk, r.lo - b_rows.lo,
+                                              r.hi - b_rows.lo)
+                         : sparse::slice_cols(blk, r.lo, r.hi);
+      });
+    }
+  };
+
+  // Charge broadcasts [from, to) of the current slices, A's row broadcasts
+  // first, then B's column broadcasts; `post` issues them as nonblocking
+  // collectives, which charge identically.
+  auto charge_bcasts = [&](int from, int to, bool post) {
+    const int na = static_cast<int>(a_slice.size());
+    for (int x = from; x < to; ++x) {
+      const bool of_a = x < na;
+      const std::vector<int> group =
+          of_a ? cl.row_group(x) : cl.col_group(x - na);
+      const double words =
+          of_a ? static_cast<double>(
+                     a_slice[static_cast<std::size_t>(x)].nnz()) *
+                     sim::sparse_entry_words<TA>()
+               : static_cast<double>(
+                     b_slice[static_cast<std::size_t>(x - na)].nnz()) *
+                     sim::sparse_entry_words<TB>();
+      if (post) {
+        log.post_bcast(group, words);
+      } else {
+        log.charge_bcast(group, words);
+      }
+    }
+  };
+
+  // AC and BC multiply along one grid line (a column for AC, a row for BC)
+  // and reduce it; the line keeps its reduction serial in ascending order,
+  // so the ⊕ order (and any floating-point sum) matches the serial
+  // schedule. `group` lists the line's ranks in that order.
+  struct Line {
+    std::vector<sparse::SpgemmStats> s;
+    std::vector<nnz_t> touched;
+    nnz_t reduced_nnz = 0;
+  };
+  auto charge_line = [&](const Line& d, const std::vector<int>& group) {
+    for (std::size_t x = 0; x < group.size(); ++x) {
+      charge_multiply(group[x], d.s[x], d.touched[x]);
+    }
+    log.charge_reduce(group, static_cast<double>(d.reduced_nnz) *
+                                 sim::sparse_entry_words<TC>());
+  };
+
+  auto run_step = [&](int step) {
+    const Range r = split_range(split, steps, step);
     switch (v2) {
       case Variant2D::kAB: {
-        // Stationary C: broadcast a k-slice of A along grid rows and of B
-        // along grid columns; every rank multiply-accumulates its C block.
-        const Range kr = split_range(rk, steps, step);
-        if (kr.size() == 0) continue;
-        const int ja = step / (steps / p3);
-        const int ib = step / (steps / p2);
-        // Slice construction is pure per grid row/column; the bcast charges
-        // depend only on the slice sizes, so they are applied afterwards in
-        // the serial order.
-        std::vector<Csr<TA>> a_slice(static_cast<std::size_t>(p2));
-        support::parallel_for(static_cast<std::size_t>(p2), [&](std::size_t i) {
-          a_slice[i] = sparse::slice_cols(a.block(static_cast<int>(i), ja),
-                                          kr.lo, kr.hi);
-        });
-        for (int i = 0; i < p2; ++i) {
-          auto group = cl.row_group(i);
-          sim.charge_bcast(group,
-                           static_cast<double>(
-                               a_slice[static_cast<std::size_t>(i)].nnz()) *
-                               sim::sparse_entry_words<TA>());
-        }
-        std::vector<Csr<TB>> b_slice(static_cast<std::size_t>(p3));
-        const Range b_rows = b.layout().block_rows(ib, 0);
-        support::parallel_for(static_cast<std::size_t>(p3), [&](std::size_t j) {
-          b_slice[j] = sparse::slice_rows(b.block(ib, static_cast<int>(j)),
-                                          kr.lo - b_rows.lo, kr.hi - b_rows.lo);
-        });
-        for (int j = 0; j < p3; ++j) {
-          auto group = cl.col_group(j);
-          sim.charge_bcast(group,
-                           static_cast<double>(
-                               b_slice[static_cast<std::size_t>(j)].nnz()) *
-                               sim::sparse_entry_words<TB>());
-        }
-        // Every (i,j) multiply updates a distinct C block; charges replay in
-        // (i,j) lexicographic order — the serial schedule — at the barrier.
-        struct MulDeferred {
+        // Stationary C: every rank multiply-accumulates its C block from
+        // its grid row's A slice and its grid column's B slice.
+        struct Mul {
           sparse::SpgemmStats s;
           nnz_t touched = 0;
         };
-        std::vector<MulDeferred> deferred(
-            static_cast<std::size_t>(p2 * p3));
-        support::parallel_for(
-            static_cast<std::size_t>(p2 * p3), [&](std::size_t t) {
-              const int i = static_cast<int>(t) / p3;
-              const int j = static_cast<int>(t) % p3;
+        std::vector<Mul> muls(static_cast<std::size_t>(p2 * p3));
+        support::parallel_for_replay(
+            muls.size(),
+            [&](std::size_t t) {
+              const auto [i, j] = cl.grid_pos(t);
               auto partial = sparse::spgemm<M>(
                   a_slice[static_cast<std::size_t>(i)],
-                  b_slice[static_cast<std::size_t>(j)], f, &deferred[t].s,
-                  /*b_row_offset=*/kr.lo, &sparse::tls_spgemm_workspace<TC>());
-              deferred[t].touched = partial.nnz() + c.block(i, j).nnz();
+                  b_slice[static_cast<std::size_t>(j)], f, &muls[t].s,
+                  /*b_row_offset=*/r.lo, &sparse::tls_spgemm_workspace<TC>());
+              muls[t].touched = partial.nnz() + c.block(i, j).nnz();
               c.block(i, j) = sparse::ewise_union<M>(c.block(i, j), partial);
+            },
+            [&](std::size_t t) {
+              const auto [i, j] = cl.grid_pos(t);
+              charge_multiply(cl.rank_at(i, j), muls[t].s, muls[t].touched);
             });
-        for (int i = 0; i < p2; ++i) {
-          for (int j = 0; j < p3; ++j) {
-            const MulDeferred& d = deferred[static_cast<std::size_t>(i * p3 + j)];
-            charge_multiply(cl.rank_at(i, j), d.s, d.touched);
-          }
-        }
         break;
       }
       case Variant2D::kAC: {
-        // Stationary B: broadcast an m-slice of A along grid rows, reduce
-        // the matching m-slice of C along grid columns.
-        const Range mr = split_range(rm, steps, step);
-        if (mr.size() == 0) continue;
-        const int ja = step / (steps / p3);  // A transposed: m split by p3
+        // Stationary B: the m-slice of A meets each grid column's B blocks;
+        // the column reduces its partials into C block (ic, j).
         const int ic = step / (steps / p2);  // C rows split by p2
-        std::vector<Csr<TA>> a_slice(static_cast<std::size_t>(p2));
-        const Range a_rows = a.layout().block_rows(0, ja);
-        support::parallel_for(static_cast<std::size_t>(p2), [&](std::size_t i) {
-          a_slice[i] = sparse::slice_rows(a.block(static_cast<int>(i), ja),
-                                          mr.lo - a_rows.lo, mr.hi - a_rows.lo);
-        });
-        for (int i = 0; i < p2; ++i) {
-          auto group = cl.row_group(i);
-          sim.charge_bcast(group,
-                           static_cast<double>(
-                               a_slice[static_cast<std::size_t>(i)].nnz()) *
-                               sim::sparse_entry_words<TA>());
-        }
-        // Parallel over grid columns; each column keeps its inner reduction
-        // serial in ascending i so the ⊕ order (and thus any floating-point
-        // sum) matches the serial schedule exactly. C blocks written per
-        // column are distinct (ic fixed, j varies).
-        struct ColDeferred {
-          std::vector<sparse::SpgemmStats> s;
-          std::vector<nnz_t> touched;
-          nnz_t reduced_nnz = 0;
-        };
-        std::vector<ColDeferred> deferred(static_cast<std::size_t>(p3));
-        support::parallel_for(
-            static_cast<std::size_t>(p3), [&](std::size_t jt) {
+        std::vector<Line> lines(static_cast<std::size_t>(p3));
+        support::parallel_for_replay(
+            lines.size(),
+            [&](std::size_t jt) {
               const int j = static_cast<int>(jt);
-              ColDeferred& d = deferred[jt];
+              Line& d = lines[jt];
               d.s.resize(static_cast<std::size_t>(p2));
               d.touched.resize(static_cast<std::size_t>(p2));
-              Csr<TC> reduced(mr.size(), b.ncols());
+              Csr<TC> reduced(r.size(), b.ncols());
               for (int i = 0; i < p2; ++i) {
-                const Range b_rows = b.layout().block_rows(i, j);
                 auto partial = sparse::spgemm<M>(
                     a_slice[static_cast<std::size_t>(i)], b.block(i, j), f,
                     &d.s[static_cast<std::size_t>(i)],
-                    /*b_row_offset=*/b_rows.lo,
+                    /*b_row_offset=*/b.layout().block_rows(i, j).lo,
                     &sparse::tls_spgemm_workspace<TC>());
                 d.touched[static_cast<std::size_t>(i)] = partial.nnz();
                 reduced = sparse::ewise_union<M>(reduced, partial);
@@ -525,81 +569,79 @@ DistMatrix<typename M::value_type> spgemm_2d(Charger& sim, Variant2D v2,
               d.reduced_nnz = reduced.nnz();
               const Range c_rows = cl.block_rows(ic, j);
               auto embedded = sparse::embed_rows(reduced, c_rows.size(),
-                                                 mr.lo - c_rows.lo);
-              c.block(ic, j) = sparse::ewise_union<M>(c.block(ic, j), embedded);
+                                                 r.lo - c_rows.lo);
+              c.block(ic, j) =
+                  sparse::ewise_union<M>(c.block(ic, j), embedded);
+            },
+            [&](std::size_t jt) {
+              charge_line(lines[jt], cl.col_group(static_cast<int>(jt)));
             });
-        for (int j = 0; j < p3; ++j) {
-          const ColDeferred& d = deferred[static_cast<std::size_t>(j)];
-          for (int i = 0; i < p2; ++i) {
-            charge_multiply(cl.rank_at(i, j), d.s[static_cast<std::size_t>(i)],
-                            d.touched[static_cast<std::size_t>(i)]);
-          }
-          sim.charge_reduce(cl.col_group(j),
-                            static_cast<double>(d.reduced_nnz) *
-                                sim::sparse_entry_words<TC>());
-        }
         break;
       }
       case Variant2D::kBC: {
-        // Stationary A: broadcast an n-slice of B along grid columns, reduce
-        // the matching n-slice of C along grid rows.
-        const Range nr = split_range(rn, steps, step);
-        if (nr.size() == 0) continue;
+        // Stationary A: each grid row's A blocks meet the n-slices of B;
+        // the row reduces its partials into C block (i, jc).
         const int ib = step / (steps / p2);  // B transposed: n split by p2
         const int jc = step / (steps / p3);  // C cols split by p3
-        std::vector<Csr<TB>> b_slice(static_cast<std::size_t>(p3));
-        support::parallel_for(static_cast<std::size_t>(p3), [&](std::size_t j) {
-          b_slice[j] = sparse::slice_cols(b.block(ib, static_cast<int>(j)),
-                                          nr.lo, nr.hi);
-        });
-        for (int j = 0; j < p3; ++j) {
-          auto group = cl.col_group(j);
-          sim.charge_bcast(group,
-                           static_cast<double>(
-                               b_slice[static_cast<std::size_t>(j)].nnz()) *
-                               sim::sparse_entry_words<TB>());
-        }
-        // Parallel over grid rows, mirroring kAC: serial inner j reduction
-        // per row, distinct C blocks (i varies, jc fixed).
-        struct RowDeferred {
-          std::vector<sparse::SpgemmStats> s;
-          std::vector<nnz_t> touched;
-          nnz_t reduced_nnz = 0;
-        };
-        std::vector<RowDeferred> deferred(static_cast<std::size_t>(p2));
-        support::parallel_for(
-            static_cast<std::size_t>(p2), [&](std::size_t it) {
+        std::vector<Line> lines(static_cast<std::size_t>(p2));
+        support::parallel_for_replay(
+            lines.size(),
+            [&](std::size_t it) {
               const int i = static_cast<int>(it);
-              RowDeferred& d = deferred[it];
+              Line& d = lines[it];
               d.s.resize(static_cast<std::size_t>(p3));
               d.touched.resize(static_cast<std::size_t>(p3));
               Csr<TC> reduced(cl.block_rows(i, 0).size(), b.ncols());
               for (int j = 0; j < p3; ++j) {
-                const Range b_rows = b.layout().block_rows(ib, j);
                 auto partial = sparse::spgemm<M>(
                     a.block(i, j), b_slice[static_cast<std::size_t>(j)], f,
                     &d.s[static_cast<std::size_t>(j)],
-                    /*b_row_offset=*/b_rows.lo,
+                    /*b_row_offset=*/b.layout().block_rows(ib, j).lo,
                     &sparse::tls_spgemm_workspace<TC>());
                 d.touched[static_cast<std::size_t>(j)] = partial.nnz();
                 reduced = sparse::ewise_union<M>(reduced, partial);
               }
               d.reduced_nnz = reduced.nnz();
               c.block(i, jc) = sparse::ewise_union<M>(c.block(i, jc), reduced);
+            },
+            [&](std::size_t it) {
+              charge_line(lines[it], cl.row_group(static_cast<int>(it)));
             });
-        for (int i = 0; i < p2; ++i) {
-          const RowDeferred& d = deferred[static_cast<std::size_t>(i)];
-          for (int j = 0; j < p3; ++j) {
-            charge_multiply(cl.rank_at(i, j), d.s[static_cast<std::size_t>(j)],
-                            d.touched[static_cast<std::size_t>(j)]);
-          }
-          sim.charge_reduce(cl.row_group(i),
-                            static_cast<double>(d.reduced_nnz) *
-                                sim::sparse_entry_words<TC>());
-        }
         break;
       }
     }
+  };
+
+  if (active.empty()) return c;
+  const bool async = plan.is_async();
+  const int tile = std::max(plan.tile, 1);
+  const std::vector<int> layer_ranks = cl.ranks();
+  // Step 0's broadcasts have nothing to hide behind: they charge plainly.
+  build_slices(active[0]);
+  const int nbcasts = static_cast<int>(a_slice.size() + b_slice.size());
+  charge_bcasts(0, nbcasts, /*post=*/false);
+  for (std::size_t idx = 0; idx < active.size(); ++idx) {
+    const bool last = idx + 1 == active.size();
+    if (async) {
+      log.overlap_open(layer_ranks, -1.0);
+      in_window = true;
+    }
+    run_step(active[idx]);
+    a_slice.clear();
+    b_slice.clear();
+    int posted = 0;
+    if (!last) {
+      build_slices(active[idx + 1]);
+      if (async) posted = (nbcasts + tile - 1) / tile;
+      charge_bcasts(0, posted, /*post=*/true);
+    }
+    if (async) {
+      log.overlap_close();
+      in_window = false;
+    }
+    // The un-posted rest charges plainly, directly after the window: the
+    // same contiguous position the sync schedule charges it at.
+    if (!last) charge_bcasts(posted, nbcasts, /*post=*/false);
   }
   return c;
 }
@@ -679,15 +721,13 @@ DistMatrix<typename M::value_type> spgemm(sim::Sim& sim, const Plan& plan,
   auto tele_finish = [&](DistMatrix<TC> c) {
     abft_verify<M>(sim, c);
     if (tele_before.has_value()) {
-      const sim::Cost now = sim.ledger().critical();
+      const sim::Cost delta = sim.ledger().critical() - *tele_before;
       tele_span.attr("nnz_c", static_cast<std::int64_t>(c.nnz()));
-      tele_span.attr("crit_words_delta", now.words - tele_before->words);
-      tele_span.attr("crit_msgs_delta", now.msgs - tele_before->msgs);
-      tele_span.attr("crit_seconds_delta",
-                     now.total_seconds() - tele_before->total_seconds());
+      tele_span.attr("crit_words_delta", delta.words);
+      tele_span.attr("crit_msgs_delta", delta.msgs);
+      tele_span.attr("crit_seconds_delta", delta.total_seconds());
     }
     if (obs != nullptr && obs_before.has_value()) {
-      const sim::Cost now = sim.ledger().critical();
       tune::Observation o;
       o.plan = plan;
       o.nnz_a = static_cast<double>(a.nnz());
@@ -701,12 +741,7 @@ DistMatrix<typename M::value_type> spgemm(sim::Sim& sim, const Plan& plan,
       o.est_ops = est.ops;
       o.est_nnz_c = est.nnz_c;
       o.predicted = model_cost(plan, est, sim.model());
-      o.measured.words = now.words - obs_before->words;
-      o.measured.msgs = now.msgs - obs_before->msgs;
-      o.measured.comm_seconds = now.comm_seconds - obs_before->comm_seconds;
-      o.measured.compute_seconds =
-          now.compute_seconds - obs_before->compute_seconds;
-      o.measured.ops = now.ops - obs_before->ops;
+      o.measured = sim.ledger().critical() - *obs_before;
       obs->record(std::move(o));
     }
     return c;
@@ -784,29 +819,23 @@ DistMatrix<typename M::value_type> spgemm(sim::Sim& sim, const Plan& plan,
   // Layers are independent rank groups; run them concurrently, each charging
   // into a private ChargeLog replayed into the Sim in layer order at the
   // barrier (per-layer stats merge in the same order). Nested regions inside
-  // spgemm_2d run inline on the layer's worker thread.
+  // spgemm_2d run inline on the layer's worker thread; a single layer is no
+  // region, so its own loops reach the pool.
   std::vector<DistMatrix<TC>> cs(static_cast<std::size_t>(p1));
   std::vector<sim::ChargeLog> layer_logs(static_cast<std::size_t>(p1));
   std::vector<DistSpgemmStats> layer_stats(static_cast<std::size_t>(p1));
-  support::parallel_for(static_cast<std::size_t>(p1), [&](std::size_t l) {
-    // Schedule dimension: the async plan runs the pipelined driver, whose
-    // charge sequence is identical to spgemm_2d's — only the overlap-credit
-    // accounting differs, so results are bit-identical either way.
-    if (plan.is_async() && layer_sz > 1) {
-      cs[l] = detail::spgemm_2d_async<M>(
-          layer_logs[l], plan.v2, plan.tile, as[l], bs[l], f,
-          st != nullptr ? &layer_stats[l] : nullptr);
-    } else {
-      cs[l] = detail::spgemm_2d<M>(layer_logs[l], plan.v2, as[l], bs[l], f,
-                                   st != nullptr ? &layer_stats[l] : nullptr);
-    }
-  });
-  for (std::size_t l = 0; l < static_cast<std::size_t>(p1); ++l) {
-    layer_logs[l].replay(sim);
-    // Layers address disjoint absolute rank ranges, so merging their
-    // per-rank vectors gives the exact fleet-wide max — no approximation.
-    if (st != nullptr) st->merge(layer_stats[l]);
-  }
+  support::parallel_for_replay(
+      cs.size(),
+      [&](std::size_t l) {
+        cs[l] = detail::spgemm_2d<M>(layer_logs[l], plan, as[l], bs[l], f,
+                                     st != nullptr ? &layer_stats[l] : nullptr);
+      },
+      [&](std::size_t l) {
+        layer_logs[l].replay(sim);
+        // Layers address disjoint absolute rank ranges, so merging their
+        // per-rank vectors gives the exact fleet-wide max.
+        if (st != nullptr) st->merge(layer_stats[l]);
+      });
 
   if (p1 > 1 && plan.v1 == Variant1D::kC) {
     // Sparse-reduce the full-shape partial Cs across layers onto layer 0,

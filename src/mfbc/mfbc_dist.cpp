@@ -175,21 +175,6 @@ dist::Plan DistMfbc::plan_for(const DistMfbcOptions& opts, const char* stream,
   return dist::autotune(sim_.nranks(), stats, sim_.model(), topts);
 }
 
-namespace {
-
-/// Componentwise critical-path delta, for the per-phase cost breakdown.
-sim::Cost cost_delta(const sim::Cost& now, const sim::Cost& then) {
-  sim::Cost d;
-  d.words = now.words - then.words;
-  d.msgs = now.msgs - then.msgs;
-  d.comm_seconds = now.comm_seconds - then.comm_seconds;
-  d.compute_seconds = now.compute_seconds - then.compute_seconds;
-  d.ops = now.ops - then.ops;
-  return d;
-}
-
-}  // namespace
-
 std::vector<double> DistMfbc::run(const DistMfbcOptions& opts,
                                   DistMfbcStats* stats) {
   // With a tuner attached, install its observer for the whole run: every
@@ -302,6 +287,7 @@ void DistMfbc::run_batch(const DistMfbcOptions& opts,
   {
     Batch batch(batch_sources, n, p);
     const Layout& sl = batch.layout();
+    const auto nblocks = static_cast<std::size_t>(sl.nranks());
 
     telemetry::Span batch_span("mfbc.batch");
     batch_span.attr("index", static_cast<std::int64_t>(batch_index));
@@ -367,11 +353,10 @@ void DistMfbc::run_batch(const DistMfbcOptions& opts,
       // charges depend only on the product block sizes, so they are issued
       // serially after the barrier in the serial (i,j) order.
       auto bins = dist::empty_bins<Multpath>(sl, n);
-      support::parallel_for(
-          static_cast<std::size_t>(sl.pr) * static_cast<std::size_t>(sl.pc),
+      support::parallel_for_replay(
+          nblocks,
           [&](std::size_t t) {
-            const int i = static_cast<int>(t) / sl.pc;
-            const int j = static_cast<int>(t) % sl.pc;
+            const auto [i, j] = sl.grid_pos(t);
             auto& blk = batch.at(i, j);
             const auto& gb = product.block(i, j);
             auto& bin = bins[t];
@@ -395,20 +380,19 @@ void DistMfbc::run_batch(const DistMfbcOptions& opts,
                 }
               }
             }
+          },
+          [&](std::size_t t) {
+            const auto [i, j] = sl.grid_pos(t);
+            sim_.charge_compute(sl.rank_at(i, j),
+                                static_cast<double>(product.block(i, j).nnz()));
           });
-      for (int i = 0; i < sl.pr; ++i) {
-        for (int j = 0; j < sl.pc; ++j) {
-          sim_.charge_compute(sl.rank_at(i, j),
-                              static_cast<double>(product.block(i, j).nnz()));
-        }
-      }
       frontier = dist::from_blocks<Keep<Multpath>>(batch.nb(), n, sl, std::move(bins));
       // Line 3's termination test is a global predicate: one allreduce.
       sim_.charge_allreduce(all_ranks, 1.0);
     }
 
     const sim::Cost after_forward = sim_.ledger().critical();
-    const sim::Cost fwd_delta = cost_delta(after_forward, before_forward);
+    const sim::Cost fwd_delta = after_forward - before_forward;
     if (forward_span.active()) {
       forward_span.attr("crit_words_delta", fwd_delta.words);
       forward_span.attr("crit_msgs_delta", fwd_delta.msgs);
@@ -428,11 +412,10 @@ void DistMfbc::run_batch(const DistMfbcOptions& opts,
     // Z(s,v) = (τ(s,v), 0, 1) on every reachable pair.
     {
       auto bins = dist::empty_bins<Centpath>(sl, n);
-      support::parallel_for(
-          static_cast<std::size_t>(sl.pr) * static_cast<std::size_t>(sl.pc),
+      support::parallel_for_replay(
+          nblocks,
           [&](std::size_t t) {
-            const int i = static_cast<int>(t) / sl.pc;
-            const int j = static_cast<int>(t) % sl.pc;
+            const auto [i, j] = sl.grid_pos(t);
             auto& blk = batch.at(i, j);
             auto& bin = bins[t];
             for (vid_t s = blk.rows.lo; s < blk.rows.hi; ++s) {
@@ -442,15 +425,14 @@ void DistMfbc::run_batch(const DistMfbcOptions& opts,
                 bin.push(s - blk.rows.lo, v, Centpath{blk.dist[at], 0.0, 1.0});
               }
             }
+          },
+          [&](std::size_t t) {
+            const auto [i, j] = sl.grid_pos(t);
+            const auto& blk = batch.at(i, j);
+            sim_.charge_compute(sl.rank_at(i, j),
+                                static_cast<double>(blk.rows.size()) *
+                                    static_cast<double>(blk.cols.size()));
           });
-      for (int i = 0; i < sl.pr; ++i) {
-        for (int j = 0; j < sl.pc; ++j) {
-          auto& blk = batch.at(i, j);
-          sim_.charge_compute(sl.rank_at(i, j),
-                              static_cast<double>(blk.rows.size()) *
-                                  static_cast<double>(blk.cols.size()));
-        }
-      }
       DistMatrix<Centpath> z0 =
           dist::from_blocks<Keep<Centpath>>(batch.nb(), n, sl, std::move(bins));
       const dist::Plan plan =
@@ -466,11 +448,10 @@ void DistMfbc::run_batch(const DistMfbcOptions& opts,
       if (stats != nullptr) {
         stats->backward.total_ops += static_cast<nnz_t>(dst.total_ops);
       }
-      support::parallel_for(
-          static_cast<std::size_t>(sl.pr) * static_cast<std::size_t>(sl.pc),
+      support::parallel_for_replay(
+          nblocks,
           [&](std::size_t t) {
-            const int i = static_cast<int>(t) / sl.pc;
-            const int j = static_cast<int>(t) % sl.pc;
+            const auto [i, j] = sl.grid_pos(t);
             auto& blk = batch.at(i, j);
             const auto& pb = pred.block(i, j);
             for (vid_t lr = 0; lr < pb.nrows(); ++lr) {
@@ -484,13 +465,12 @@ void DistMfbc::run_batch(const DistMfbcOptions& opts,
                 }
               }
             }
+          },
+          [&](std::size_t t) {
+            const auto [i, j] = sl.grid_pos(t);
+            sim_.charge_compute(sl.rank_at(i, j),
+                                static_cast<double>(pred.block(i, j).nnz()));
           });
-      for (int i = 0; i < sl.pr; ++i) {
-        for (int j = 0; j < sl.pc; ++j) {
-          sim_.charge_compute(sl.rank_at(i, j),
-                              static_cast<double>(pred.block(i, j).nnz()));
-        }
-      }
     }
 
     // Lines 3–4: initial frontier = the shortest-path-tree leaves.
@@ -498,10 +478,9 @@ void DistMfbc::run_batch(const DistMfbcOptions& opts,
     {
       auto bins = dist::empty_bins<Centpath>(sl, n);
       support::parallel_for(
-          static_cast<std::size_t>(sl.pr) * static_cast<std::size_t>(sl.pc),
+          nblocks,
           [&](std::size_t t) {
-            const int i = static_cast<int>(t) / sl.pc;
-            const int j = static_cast<int>(t) % sl.pc;
+            const auto [i, j] = sl.grid_pos(t);
             auto& blk = batch.at(i, j);
             auto& bin = bins[t];
             for (vid_t s = blk.rows.lo; s < blk.rows.hi; ++s) {
@@ -546,11 +525,10 @@ void DistMfbc::run_batch(const DistMfbcOptions& opts,
         stats->backward.total_ops += static_cast<nnz_t>(dst.total_ops);
       }
       auto bins = dist::empty_bins<Centpath>(sl, n);
-      support::parallel_for(
-          static_cast<std::size_t>(sl.pr) * static_cast<std::size_t>(sl.pc),
+      support::parallel_for_replay(
+          nblocks,
           [&](std::size_t t) {
-            const int i = static_cast<int>(t) / sl.pc;
-            const int j = static_cast<int>(t) % sl.pc;
+            const auto [i, j] = sl.grid_pos(t);
             auto& blk = batch.at(i, j);
             const auto& ub = product.block(i, j);
             auto& bin = bins[t];
@@ -576,13 +554,12 @@ void DistMfbc::run_batch(const DistMfbcOptions& opts,
                 }
               }
             }
+          },
+          [&](std::size_t t) {
+            const auto [i, j] = sl.grid_pos(t);
+            sim_.charge_compute(sl.rank_at(i, j),
+                                static_cast<double>(product.block(i, j).nnz()));
           });
-      for (int i = 0; i < sl.pr; ++i) {
-        for (int j = 0; j < sl.pc; ++j) {
-          sim_.charge_compute(sl.rank_at(i, j),
-                              static_cast<double>(product.block(i, j).nnz()));
-        }
-      }
       cfrontier = dist::from_blocks<Keep<Centpath>>(batch.nb(), n, sl, std::move(bins));
       sim_.charge_allreduce(all_ranks, 1.0);
     }
@@ -616,8 +593,7 @@ void DistMfbc::run_batch(const DistMfbcOptions& opts,
                                 static_cast<double>(blk.cols.size()));
       }
     }
-    const sim::Cost bwd_delta =
-        cost_delta(sim_.ledger().critical(), after_forward);
+    const sim::Cost bwd_delta = sim_.ledger().critical() - after_forward;
     if (backward_span.active()) {
       backward_span.attr("crit_words_delta", bwd_delta.words);
       backward_span.attr("crit_msgs_delta", bwd_delta.msgs);

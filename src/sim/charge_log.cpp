@@ -55,12 +55,8 @@ void ChargeLog::overlap_open(std::span<const int> group, double beta) {
   push(Kind::kOverlapOpen, group, beta);
 }
 
-AsyncHandle ChargeLog::post_bcast(std::span<const int> group,
-                                  double payload_words) {
+void ChargeLog::post_bcast(std::span<const int> group, double payload_words) {
   push(Kind::kOverlapBcast, group, payload_words);
-  // Deferred handles carry no state: the charge's position in the record
-  // sequence is its identity, and replay re-posts in that same order.
-  return AsyncHandle{size()};
 }
 
 void ChargeLog::overlap_compute(int rank, double ops) {
@@ -71,11 +67,6 @@ void ChargeLog::overlap_compute(int rank, double ops) {
   records_.push_back(std::move(r));
 }
 
-void ChargeLog::overlap_wait(AsyncHandle) {}
-
-double ChargeLog::overlap_close() {
-  push(Kind::kOverlapClose, {}, 0.0);
-  return 0.0;
-}
+void ChargeLog::overlap_close() { push(Kind::kOverlapClose, {}, 0.0); }
 
 }  // namespace mfbc::sim

@@ -30,16 +30,16 @@ class ChargeLog {
   void charge_alltoall(std::span<const int> group, double max_rank_words);
   void charge_compute(int rank, double ops);
 
-  // Overlap-window records (sim/async.hpp): the pipelined SpGEMM driver is
-  // generic over Sim and ChargeLog, so windows record here and re-open at
-  // replay. Handles are local bookkeeping — post order equals record order
-  // equals replay order, which is what keeps fault charge points and
-  // overlap credits bit-identical for every thread count.
+  // Overlap-window records (sim/async.hpp): the 2D SpGEMM driver's async
+  // schedule opens its windows here, and replay re-opens them in the Sim.
+  // Post order equals record order equals replay order, which is what keeps
+  // fault charge points and overlap credits bit-identical for every thread
+  // count. Waits are bookkeeping only, so none are recorded: close()
+  // completes every posted collective of its window.
   void overlap_open(std::span<const int> group, double beta);
-  AsyncHandle post_bcast(std::span<const int> group, double payload_words);
+  void post_bcast(std::span<const int> group, double payload_words);
   void overlap_compute(int rank, double ops);
-  void overlap_wait(AsyncHandle h);
-  double overlap_close();
+  void overlap_close();
 
   bool empty() const { return records_.empty(); }
   std::size_t size() const { return records_.size(); }

@@ -28,6 +28,12 @@ struct Cost {
 
   Cost& operator+=(const Cost& o);
   friend Cost operator+(Cost a, const Cost& b) { return a += b; }
+  /// Componentwise difference, e.g. a critical-path delta over a phase.
+  friend Cost operator-(const Cost& a, const Cost& b) {
+    return {a.words - b.words, a.msgs - b.msgs,
+            a.comm_seconds - b.comm_seconds,
+            a.compute_seconds - b.compute_seconds, a.ops - b.ops};
+  }
 };
 
 /// Observer for individual ledger charges. The telemetry subsystem installs

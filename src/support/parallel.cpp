@@ -122,7 +122,13 @@ void ThreadPool::worker_loop(int chunk) {
 void ThreadPool::parallel_for(std::size_t n,
                               const std::function<void(std::size_t)>& fn) {
   if (n == 0) return;
-  if (size() == 1 || n == 1 || tl_in_parallel_region) {
+  if (n == 1) {
+    // Nothing to partition: run the index as plain code on the caller, not
+    // as a region, so regions nested inside it can still use the pool.
+    fn(0);
+    return;
+  }
+  if (size() == 1 || tl_in_parallel_region) {
     // Serial fallback: nested regions and single-thread pools run inline on
     // the calling thread, in index order — the exact pre-pool behaviour.
     // Nested regions are inside the enclosing chunk's busy time already, so

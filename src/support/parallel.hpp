@@ -18,7 +18,9 @@
 //     calling thread — exactly the pre-pool behaviour.
 //  3. **No nested pools.** A parallel_for issued from inside another
 //     parallel_for region (e.g. a per-layer task that itself reaches a
-//     per-block loop) runs inline serially on that worker.
+//     per-block loop) runs inline serially on that worker. A one-index
+//     parallel_for is not a region: it runs its index on the caller, so
+//     the loops inside a one-layer multiply still reach the pool.
 //
 // The global pool is sized by the MFBC_THREADS environment variable, or by
 // set_threads() (the CLI/bench `--threads` flag), defaulting to
@@ -130,6 +132,18 @@ void export_pool_utilization();
 inline void parallel_for(std::size_t n,
                          const std::function<void(std::size_t)>& fn) {
   pool().parallel_for(n, fn);
+}
+
+/// Rule 1 as one call: run body(i) for every i in [0, n) on the pool, then
+/// replay(i) on the calling thread in ascending i once the region's barrier
+/// has passed. body writes only index i's own state, including the slots
+/// its deferred charges and stats go in; replay applies them, so the ledger
+/// and every stats sum see the serial order at every thread count.
+template <typename Body, typename Replay>
+void parallel_for_replay(std::size_t n, const Body& body,
+                         const Replay& replay) {
+  parallel_for(n, body);
+  for (std::size_t i = 0; i < n; ++i) replay(i);
 }
 
 }  // namespace mfbc::support

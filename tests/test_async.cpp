@@ -12,7 +12,6 @@
 
 #include "algebra/multpath.hpp"
 #include "dist/autotune.hpp"
-#include "dist/pipeline.hpp"
 #include "dist/spgemm_dist.hpp"
 #include "graph/generators.hpp"
 #include "mfbc/mfbc_dist.hpp"

@@ -8,7 +8,10 @@
 
 #include <atomic>
 #include <map>
+#include <mutex>
+#include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "algebra/multpath.hpp"
@@ -144,6 +147,20 @@ TEST(ThreadPool, NestedRegionsRunInlineAndRestoreTheFlag) {
   });
   EXPECT_FALSE(ThreadPool::in_parallel_region());
   EXPECT_EQ(inner_total.load(), 4 * (3 + 2));
+}
+
+TEST(ThreadPool, OneIndexRegionLeavesNestedRegionsOnThePool) {
+  ThreadPool pool(4);
+  std::mutex mu;
+  std::set<std::thread::id> threads;
+  pool.parallel_for(1, [&](std::size_t) {
+    EXPECT_FALSE(ThreadPool::in_parallel_region());
+    pool.parallel_for(4, [&](std::size_t) {
+      std::lock_guard<std::mutex> lock(mu);
+      threads.insert(std::this_thread::get_id());
+    });
+  });
+  EXPECT_GT(threads.size(), 1u);
 }
 
 TEST(ThreadPool, SetThreadsResizesTheGlobalPool) {

@@ -32,7 +32,6 @@
 #include "baseline/combblas_bc.hpp"
 #include "benchsupport/table.hpp"
 #include "dist/partition.hpp"
-#include "dist/pipeline.hpp"
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
 #include "graph/mutate.hpp"
