@@ -46,7 +46,7 @@ std::vector<Plan> enumerate_plans(int p, const TuneOptions& opts) {
   }
   if (opts.allow_async) {
     // Schedule axis: an async-pipelined twin per tile size for every plan
-    // with a 2D level (the pipelined driver overlaps the lcm-step broadcast
+    // with a 2D level (the async schedule overlaps the lcm-step broadcast
     // schedule; pure-1D plans have no stepwise loop to pipeline). Appended
     // after the sync plans so the historical enumeration is a prefix.
     const std::size_t sync_count = out.size();

@@ -28,9 +28,10 @@ struct TuneOptions {
   /// callers that never opted into nonblocking schedules see the historical
   /// plan space unchanged.
   bool allow_async = false;
-  /// Prefetch tile menu for the async twins (dist/pipeline.hpp): tile 1
-  /// posts every next-step broadcast inside the window (maximum overlap,
-  /// maximum in-flight memory), larger tiles post 1/tile of them.
+  /// Prefetch tile menu for the async twins (the async schedule of
+  /// detail::spgemm_2d in dist/spgemm_dist.hpp): tile 1 posts every
+  /// next-step broadcast inside the window (maximum overlap), larger tiles
+  /// post 1/tile of them.
   std::vector<int> async_tiles = {1, 4};
   /// Distribution axis base value: how the request's operands are actually
   /// placed (docs/partitioning.md). Every enumerated plan is stamped with

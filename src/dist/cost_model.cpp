@@ -115,9 +115,10 @@ double model_memory_words(const Plan& plan, const MultiplyStats& s) {
                      s.nnz_c * s.words_c;
   double mem = replicated * plan.p1 / p + all / p;
   if (plan.is_async() && plan.has_2d()) {
-    // The pipelined driver holds step k+1's broadcast slices while step k's
-    // multiplies run; the tile knob posts ~1/tile of a step's broadcasts
-    // early, so in-flight buffers add ~1/tile of one step's slice words.
+    // On the modelled machine, step k+1's posted broadcasts land in receive
+    // buffers while step k's multiplies run; the tile knob posts ~1/tile of
+    // a step's broadcasts early, so in-flight buffers add ~1/tile of one
+    // step's slice words.
     auto [y, z] = operands_of(plan.v2);
     double y_words = nnz_words(y, s);
     double z_words = plan.v2 == Variant2D::kAB ? nnz_words(z, s) : 0.0;
@@ -188,7 +189,7 @@ ModelCost model_cost(const Plan& plan, const MultiplyStats& s,
                  sim::log2_ceil(std::max(plan.p2, plan.p3)) * alpha;
 
     if (plan.is_async()) {
-      // Async schedule: the pipelined driver hides the broadcast side of
+      // Async schedule: posted broadcasts hide the broadcast side of
       // the 2D level (Y always; Z too for kAB — for kAC/kBC, Z = C moves in
       // *reductions*, which depend on the step's multiplies and cannot be
       // prefetched) behind the multiplies. The tile knob posts 1/tile of
