@@ -119,8 +119,7 @@ class DistMatrix {
     }
     coo.entries().resize(offset.back());
     auto fill_block = [&](std::size_t t) {
-      const int i = static_cast<int>(t) / layout_.pc;
-      const int j = static_cast<int>(t) % layout_.pc;
+      const auto [i, j] = layout_.grid_pos(t);
       const Range rr = layout_.block_rows(i, j);
       const auto& b = block(i, j);
       std::size_t at = offset[t];

@@ -448,8 +448,9 @@ DistMatrix<typename M::value_type> spgemm_2d(sim::ChargeLog& log,
   auto build_slices = [&](int step) {
     const Range r = split_range(split, steps, step);
     if (v2 != Variant2D::kBC) {
-      const int ja = step / (steps / p3);  // AB: k split by p3; AC: A
-                                           // transposed, m split by p3
+      // A's grid columns split the step dimension p3 ways (AB: k; AC: m,
+      // A being transposed).
+      const int ja = step / (steps / p3);
       const Range a_rows = a.layout().block_rows(0, ja);
       a_slice.resize(static_cast<std::size_t>(p2));
       support::parallel_for(a_slice.size(), [&](std::size_t i) {
@@ -461,8 +462,9 @@ DistMatrix<typename M::value_type> spgemm_2d(sim::ChargeLog& log,
       });
     }
     if (v2 != Variant2D::kAC) {
-      const int ib = step / (steps / p2);  // AB: k split by p2; BC: B
-                                           // transposed, n split by p2
+      // B's grid rows split the step dimension p2 ways (AB: k; BC: n, B
+      // being transposed).
+      const int ib = step / (steps / p2);
       const Range b_rows = b.layout().block_rows(ib, 0);
       b_slice.resize(static_cast<std::size_t>(p3));
       support::parallel_for(b_slice.size(), [&](std::size_t j) {
