@@ -77,14 +77,19 @@ TEST_P(RedistributeTest, PreservesContent) {
   EXPECT_EQ(back.gather(sim), a);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Targets, RedistributeTest,
-    ::testing::Values(Layout{0, 1, 1, Range{0, 24}, Range{0, 18}, false},
-                      Layout{0, 4, 3, Range{0, 24}, Range{0, 18}, false},
-                      Layout{0, 3, 4, Range{0, 24}, Range{0, 18}, true},
-                      Layout{4, 2, 4, Range{0, 24}, Range{0, 18}, false},
-                      Layout{0, 12, 1, Range{0, 24}, Range{0, 18}, false},
-                      Layout{0, 1, 12, Range{0, 24}, Range{0, 18}, true}));
+// gtest shows each Layout as its raw bytes, and ctest puts that text in the
+// test name. A static table zero-fills the padding bytes, so the names are the
+// same in every build instead of carrying stack contents.
+constexpr Layout kRedistributeTargets[] = {
+    Layout{0, 1, 1, Range{0, 24}, Range{0, 18}, false},
+    Layout{0, 4, 3, Range{0, 24}, Range{0, 18}, false},
+    Layout{0, 3, 4, Range{0, 24}, Range{0, 18}, true},
+    Layout{4, 2, 4, Range{0, 24}, Range{0, 18}, false},
+    Layout{0, 12, 1, Range{0, 24}, Range{0, 18}, false},
+    Layout{0, 1, 12, Range{0, 24}, Range{0, 18}, true}};
+
+INSTANTIATE_TEST_SUITE_P(Targets, RedistributeTest,
+                         ::testing::ValuesIn(kRedistributeTargets));
 
 TEST(DistMatrix, RedistributeToSubRegionFilters) {
   sim::Sim sim(4);

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 #include <tuple>
 
 #include "baseline/brandes.hpp"
@@ -28,6 +29,13 @@ struct GraphCase {
   bool weighted;
   std::uint64_t seed;
 };
+
+// Without a printer gtest shows a parameter as its raw bytes, and ctest puts
+// that text in the test name; `name` is a pointer, so the name would change
+// with every load address.
+void PrintTo(const GraphCase& c, std::ostream* os) {
+  *os << c.name << " (seed " << c.seed << ")";
+}
 
 Graph make_case_graph(const GraphCase& c, vid_t n, nnz_t m) {
   graph::WeightSpec ws{c.weighted, 1, 10};
