@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <optional>
 #include <string>
 #include <vector>
@@ -21,6 +22,7 @@
 
 #include "baseline/brandes.hpp"
 #include "baseline/combblas_bc.hpp"
+#include "core/checkpoint.hpp"
 #include "dist/partition.hpp"
 #include "graph/generators.hpp"
 #include "mfbc/adaptive.hpp"
@@ -392,6 +394,265 @@ TEST_P(Differential, TunedBaselineNeverChargesMore) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, Differential,
                          ::testing::Values<std::uint64_t>(1, 2, 3));
+
+// ---------------------------------------------------------------------------
+// Engine pins: the absolute outcome of one small run per engine
+// configuration. Every cell above compares engines or configurations with
+// each other, so a change that moves both engines (or every configuration)
+// the same way still passes them; these rows catch it. A row is regenerated
+// only by a change that sets out to alter charges or plans: a failing row
+// prints its measured values in the table's own syntax.
+
+enum class PinGraph {
+  kWeighted,    ///< ER(48, 200), weights U{1..100}: the MFBC rows
+  kUnweighted,  ///< ER(48, 200): the CombBLAS rows
+  kDense,       ///< ER(64, 800): the grid-shrink rows
+};
+
+struct PinRun {
+  const char* name = "";
+  bool combblas = false;
+  PinGraph graph = PinGraph::kWeighted;
+  int p = 4;
+  vid_t batch = 16;
+  dist::PartitionKind part = dist::PartitionKind::kBlock;
+  core::PlanMode mode = core::PlanMode::kAuto;
+  int c = 1;
+  bool tuner = false;
+  bool stable_plans = false;
+  bool batch_deltas = false;
+  double memory_words = 0;  ///< 0 keeps the machine model's default
+  const char* faults = "";
+};
+
+struct Pin {
+  std::uint64_t digest = 0;  ///< FNV-1a of λ's bits, then any batch deltas'
+  double crit_words = 0, crit_msgs = 0, comm_seconds = 0, compute_seconds = 0;
+  double forward_words = 0, backward_words = 0;
+  std::vector<std::string> plans;
+  int fwd_iterations = 0, bwd_iterations = 0;
+  int batch_retries = 0, spare_rehomes = 0, grid_shrinks = 0;
+  double imbalance_nnz = 0, imbalance_ops = 0;
+  double overhead_words = 0;
+  bool operator==(const Pin&) const = default;
+};
+
+Graph pin_graph(PinGraph kind) {
+  switch (kind) {
+    case PinGraph::kWeighted:
+      return graph::erdos_renyi(48, 200, /*directed=*/false, {true, 1, 100}, 7);
+    case PinGraph::kUnweighted:
+      return graph::erdos_renyi(48, 200, /*directed=*/false, {}, 7);
+    case PinGraph::kDense:
+      return graph::erdos_renyi(64, 800, /*directed=*/false, {}, 91);
+  }
+  return {};
+}
+
+std::uint64_t fold_bits(const std::vector<double>& v, std::uint64_t h) {
+  return core::fnv1a(v.data(), v.size() * sizeof(double), h);
+}
+
+template <typename Stats>
+Pin pin_of(const std::vector<double>& lambda,
+           const std::vector<std::vector<double>>& deltas,
+           const sim::Sim& sim, const Stats& st) {
+  Pin pin;
+  pin.digest = core::fnv1a(lambda.data(), lambda.size() * sizeof(double));
+  for (const auto& d : deltas) pin.digest = fold_bits(d, pin.digest);
+  const sim::Cost crit = sim.ledger().critical();
+  pin.crit_words = crit.words;
+  pin.crit_msgs = crit.msgs;
+  pin.comm_seconds = crit.comm_seconds;
+  pin.compute_seconds = crit.compute_seconds;
+  pin.forward_words = st.forward_cost.words;
+  pin.backward_words = st.backward_cost.words;
+  pin.plans = st.plans_used;
+  pin.fwd_iterations = st.forward.iterations();
+  pin.bwd_iterations = st.backward.iterations();
+  pin.batch_retries = st.batch_retries;
+  pin.spare_rehomes = st.spare_rehomes;
+  pin.grid_shrinks = st.grid_shrinks;
+  pin.imbalance_nnz = st.imbalance_nnz;
+  pin.imbalance_ops = st.imbalance_ops;
+  if (const sim::FaultInjector* fi = sim.faults()) {
+    pin.overhead_words = fi->overhead().words;
+  }
+  return pin;
+}
+
+Pin measure(const PinRun& r) {
+  const Graph g = pin_graph(r.graph);
+  sim::MachineModel machine;
+  if (r.memory_words > 0) machine.memory_words = r.memory_words;
+  sim::Sim sim(r.p, machine);
+  tune::Tuner tuner;
+  std::vector<std::vector<double>> deltas;
+  dist::Partition part = dist::make_partition(g, r.part, r.p);
+  if (r.combblas) {
+    baseline::CombBlasBc engine(sim, g, std::move(part));
+    if (*r.faults != '\0') sim.enable_faults(sim::FaultSpec::parse(r.faults));
+    baseline::CombBlasOptions opts;
+    opts.batch_size = r.batch;
+    if (r.tuner) opts.tuner = &tuner;
+    baseline::CombBlasStats st;
+    const std::vector<double> lambda = engine.run(opts, &st);
+    return pin_of(lambda, deltas, sim, st);
+  }
+  core::DistMfbc engine(sim, g, std::move(part));
+  if (*r.faults != '\0') sim.enable_faults(sim::FaultSpec::parse(r.faults));
+  core::DistMfbcOptions opts;
+  opts.batch_size = r.batch;
+  opts.plan_mode = r.mode;
+  opts.replication_c = r.c;
+  if (r.tuner) opts.tuner = &tuner;
+  opts.stable_plans = r.stable_plans;
+  if (r.batch_deltas) opts.batch_deltas = &deltas;
+  core::DistMfbcStats st;
+  const std::vector<double> lambda = engine.run(opts, &st);
+  return pin_of(lambda, deltas, sim, st);
+}
+
+/// `pin` in the syntax of the expected-value table below.
+std::string pin_row(const Pin& pin) {
+  auto hex = [](double x) {
+    char buf[64];
+    std::snprintf(buf, sizeof buf, "%a", x);
+    return std::string(buf);
+  };
+  std::string plans;
+  for (const std::string& p : pin.plans) {
+    plans += (plans.empty() ? "\"" : ", \"") + p + "\"";
+  }
+  char digest[32];
+  std::snprintf(digest, sizeof digest, "0x%016llxull",
+                static_cast<unsigned long long>(pin.digest));
+  return std::string("{") + digest + ",\n " + hex(pin.crit_words) + ", " +
+         hex(pin.crit_msgs) + ",\n " + hex(pin.comm_seconds) + ", " +
+         hex(pin.compute_seconds) + ",\n " + hex(pin.forward_words) + ", " +
+         hex(pin.backward_words) + ",\n {" + plans + "},\n " +
+         std::to_string(pin.fwd_iterations) + ", " +
+         std::to_string(pin.bwd_iterations) + ", " +
+         std::to_string(pin.batch_retries) + ", " +
+         std::to_string(pin.spare_rehomes) + ", " +
+         std::to_string(pin.grid_shrinks) + ",\n " + hex(pin.imbalance_nnz) +
+         ", " + hex(pin.imbalance_ops) + ", " + hex(pin.overhead_words) + "}";
+}
+
+TEST(EnginePins, ChargesHoldPerConfiguration) {
+  using dist::PartitionKind;
+  // The shrink budget: the first doubling fits, the second collides on one
+  // host, the balanced pairs fit again (the GridShrink cells' recipe,
+  // evaluated once on the dense graph's resident footprints at p=4).
+  constexpr double kShrinkMemory = 0x1.2273333333333p+12;
+  const std::vector<std::pair<PinRun, Pin>> rows = {
+      {{.name = "mfbc auto block p16", .p = 16},
+       {0x980cbeaf987a9e62ull,
+        0x1.6b38p+15, 0x1.a1p+10,
+        0x1.bd619a1e1e1cep-9, 0x1.40e18b649168fp-16,
+        0x1.58a8p+14, 0x1.6348p+14,
+        {"3D-A,AB[4x2x2]", "3D-B,AC[4x2x2]", "3D-A,BC[4x2x2]", "1D-A[16]",
+         "1D-B[16]"},
+        23, 23, 0, 0, 0,
+        0x1.47ae147ae147bp+0, 0x1.1442e774cd541p+0, 0x0p+0}},
+      {{.name = "mfbc ca c4", .p = 16, .mode = core::PlanMode::kFixedCa,
+        .c = 4},
+       {0x980cbeaf987a9e62ull,
+        0x1.4dbp+15, 0x1.92p+10,
+        0x1.acfdf4b23e504p-9, 0x1.6e0301abeb6fcp-16,
+        0x1.2028p+14, 0x1.60b8p+14,
+        {"3D-B,AC[4x2x2]"},
+        23, 23, 0, 0, 0,
+        0x1.47ae147ae147bp+0, 0x1.1fd75654e8548p+0, 0x0p+0}},
+      {{.name = "mfbc tuner degree", .part = PartitionKind::kDegree,
+        .tuner = true},
+       {0x980cbeaf987a9e62ull,
+        0x1.1a22p+16, 0x1.5ep+9,
+        0x1.883f152aa07f4p-10, 0x1.c450517c1e898p-15,
+        0x1.9528p+15, 0x1.23b8p+14,
+        {"1D-A[4]+bal", "1D-B[4]+bal"},
+        23, 23, 0, 0, 0,
+        0x1.051eb851eb852p+0, 0x1.014a6ccd08e88p+0, 0x0p+0}},
+      {{.name = "mfbc stable deltas chunk", .part = PartitionKind::kChunk,
+        .stable_plans = true, .batch_deltas = true},
+       {0x0d9f0ab423d664a9ull,
+        0x1.bd4p+15, 0x1.7ap+9,
+        0x1.a04829032315p-10, 0x1.ccda74e743d7dp-15,
+        0x1.7f18p+14, 0x1.e0e8p+14,
+        {"1D-A[4]+bal", "1D-B[4]+bal"},
+        23, 23, 0, 0, 0,
+        0x1.0f5c28f5c28f6p+0, 0x1.060001b526c3ep+0, 0x0p+0}},
+      {{.name = "mfbc resident budget binds", .p = 16, .memory_words = 1024},
+       {0x980cbeaf987a9e62ull,
+        0x1.7c9p+15, 0x1.a3p+10,
+        0x1.bfddcb470afb2p-9, 0x1.4e7877cfb421bp-16,
+        0x1.58a8p+14, 0x1.85f8p+14,
+        {"3D-A,AB[4x2x2]", "3D-B,AC[4x2x2]", "3D-A,BC[4x2x2]",
+         "1D-A[16]"},
+        23, 23, 0, 0, 0,
+        0x1.47ae147ae147bp+0, 0x1.1a3cef22469eap+0, 0x0p+0}},
+      {{.name = "combblas fixed p16", .combblas = true,
+        .graph = PinGraph::kUnweighted, .p = 16},
+       {0x9b66a0bff1ac16f0ull,
+        0x1.12bp+14, 0x1.94p+9,
+        0x1.adc4f4bc2a11dp-10, 0x1.2c029aed8a3a7p-16,
+        0x1.124p+13, 0x1.bc4p+12,
+        {"2D-AB[4x4]"},
+        12, 9, 0, 0, 0,
+        0x1.3d70a3d70a3d7p+0, 0x1.1a688e48380cfp+0, 0x0p+0}},
+      {{.name = "combblas tuner chunk", .combblas = true,
+        .graph = PinGraph::kUnweighted, .part = PartitionKind::kChunk,
+        .tuner = true},
+       {0x3933beffbfe27a3full,
+        0x1.c1dp+14, 0x1.d8p+7,
+        0x1.0b9694b50bee6p-11, 0x1.806a95ed5f0b1p-15,
+        0x1.d16p+13, 0x1.7d4p+13,
+        {"2D-AB[2x2]+bal"},
+        12, 9, 0, 0, 0,
+        0x1.0a3d70a3d70a4p+0, 0x1.0669d9694f70ep+0, 0x0p+0}},
+      {{.name = "mfbc spare", .batch = 8, .faults = "rank@5:1,spares:1"},
+       {0x980cbeaf987a9e62ull,
+        0x1.8383p+16, 0x1.87cp+10,
+        0x1.ac1ddb62ed661p-9, 0x1.d13725ed35b47p-15,
+        0x1.987ap+15, 0x1.5584p+15,
+        {"1D-A[4]", "1D-B[4]"},
+        45, 45, 1, 1, 0,
+        0x1.199999999999ap+0, 0x1.073d9fdf72cd1p+0, 0x1.378p+10}},
+      {{.name = "combblas spare", .combblas = true,
+        .graph = PinGraph::kUnweighted, .batch = 8,
+        .faults = "rank@5:1,spares:1"},
+       {0xd0c3c757e54ad6b9ull,
+        0x1.736p+15, 0x1.e3p+8,
+        0x1.0dd89ca5a9896p-10, 0x1.8167fd1cff47fp-15,
+        0x1.871p+14, 0x1.355p+14,
+        {"2D-AB[2x2]"},
+        24, 18, 1, 1, 0,
+        0x1.0f5c28f5c28f6p+0, 0x1.0a74a0d267b18p+0, 0x1.2cp+10}},
+      {{.name = "mfbc shrink", .graph = PinGraph::kDense, .batch = 2,
+        .memory_words = kShrinkMemory, .faults = "rank@236:0,rank@245:2"},
+       {0x8ef8d353eefa748full,
+        0x1.5765p+17, 0x1.5c4p+11,
+        0x1.7c87a12fcc325p-8, 0x1.3739ca7378945p-12,
+        0x1.6fd8p+15, 0x1.b328p+16,
+        {"1D-A[4]", "2D-AC[2x2]"},
+        66, 64, 2, 0, 1,
+        0x1.0b851eb851eb8p+0, 0x1.0d1c63b81772p+0, 0x1.241p+13}},
+      {{.name = "combblas shrink", .combblas = true, .graph = PinGraph::kDense,
+        .batch = 2, .memory_words = kShrinkMemory,
+        .faults = "rank@508:0,rank@523:2"},
+       {0x32e650eb66d97ac5ull,
+        0x1.b32dcp+19, 0x1.1e4p+11,
+        0x1.7a087c1cd36dcp-8, 0x1.080a31ff78ea2p-12,
+        0x1.fcbp+18, 0x1.55aep+18,
+        {"2D-AB[2x2]"},
+        97, 64, 2, 0, 1,
+        0x1.0b851eb851eb8p+0, 0x1.071138bf9f069p+0, 0x1.117p+13}},
+  };
+  for (const auto& [run, want] : rows) {
+    const Pin got = measure(run);
+    EXPECT_TRUE(got == want) << run.name << " measured\n" << pin_row(got);
+  }
+}
 
 }  // namespace
 }  // namespace mfbc
