@@ -77,13 +77,7 @@ class Residual {
                  static_cast<vid_t>(k & 0xffffffffu), c);
       }
     }
-    struct Keep {
-      using value_type = double;
-      static value_type identity() { return 0.0; }
-      static value_type combine(value_type a, value_type) { return a; }
-      static bool is_identity(value_type) { return false; }
-    };
-    return Csr<double>::from_coo<Keep>(std::move(coo));
+    return Csr<double>::from_coo<sparse::KeepFirst<double>>(std::move(coo));
   }
 
  private:

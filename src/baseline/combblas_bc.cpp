@@ -28,7 +28,7 @@ using sparse::Csr;
 using sparse::nnz_t;
 
 template <typename T>
-using Keep = dist::detail::KeepFirst<T>;
+using Keep = sparse::KeepFirst<T>;
 
 /// Count-semiring bridge: extending a path count along an (unweighted) edge
 /// keeps the count; the SumMonoid ⊕ then adds counts over predecessors.

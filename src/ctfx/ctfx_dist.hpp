@@ -110,16 +110,6 @@ class DMatrix {
 
 namespace detail {
 
-template <typename T>
-struct KeepFirstLocal {
-  using value_type = T;
-  static value_type identity() { return value_type{}; }
-  static value_type combine(const value_type& a, const value_type&) {
-    return a;
-  }
-  static bool is_identity(const value_type&) { return false; }
-};
-
 /// Orient a distributed operand to (want_row, want_col) label order. A
 /// transposition is a real data-reordering: performed via gather-free
 /// blockwise transpose + redistribution, charged as an all-to-all (§1:
@@ -159,8 +149,8 @@ dist::DistMatrix<T> oriented_dist(const DIndexed<T>& x, char want_row,
   world.sim().charge_alltoall(
       target.ranks(),
       moved_words / std::max(1, target.nranks()));
-  auto whole = Csr<T>::template from_coo<detail::KeepFirstLocal<T>>(
-      std::move(all));
+  auto whole =
+      Csr<T>::template from_coo<sparse::KeepFirst<T>>(std::move(all));
   // Rebuild blocks without a second charge (the all-to-all above covered
   // the reordering).
   for (int i = 0; i < target.pr; ++i) {

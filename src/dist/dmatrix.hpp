@@ -140,17 +140,8 @@ class DistMatrix {
     }
     sim.charge_gather(layout_.ranks(),
                       static_cast<double>(nnz()) * sim::sparse_entry_words<T>());
-    // Blocks tile the region disjointly, so no monoid merging is needed; a
-    // trivial "keep first" monoid suffices for the rebuild.
-    struct Keep {
-      using value_type = T;
-      static value_type identity() { return value_type{}; }
-      static value_type combine(const value_type& a, const value_type&) {
-        return a;
-      }
-      static bool is_identity(const value_type&) { return false; }
-    };
-    return Csr<T>::template from_coo<Keep>(std::move(coo));
+    // Blocks tile the region disjointly, so no monoid merging is needed.
+    return Csr<T>::template from_coo<sparse::KeepFirst<T>>(std::move(coo));
   }
 
   vid_t nrows() const { return nrows_; }

@@ -145,16 +145,6 @@ void abft_verify(sim::Sim& sim, const DistMatrix<T>& c) {
 
 namespace detail {
 
-/// "Keep first" pseudo-monoid for rebuilding blocks whose entries are known
-/// to be duplicate-free (redistribution never merges).
-template <typename T>
-struct KeepFirst {
-  using value_type = T;
-  static value_type identity() { return value_type{}; }
-  static value_type combine(const value_type& a, const value_type&) { return a; }
-  static bool is_identity(const value_type&) { return false; }
-};
-
 /// Home layouts of the three 2D variants (§5.2.2) for a layer grid at
 /// `rank0` with shape p2×p3 and operand regions Rm×Rk (A), Rk×Rn (B).
 struct Homes {
@@ -690,7 +680,8 @@ DistMatrix<typename M::value_type> spgemm(sim::Sim& sim, const Plan& plan,
                                           DistSpgemmStats* st = nullptr,
                                           HomeCache<TB>* b_cache = nullptr) {
   using TC = typename M::value_type;
-  using detail::KeepFirst;
+  // Redistribution never merges: operands are rebuilt keep-first.
+  using sparse::KeepFirst;
   MFBC_CHECK(a.ncols() == b.nrows(), "spgemm inner dimension mismatch");
   MFBC_CHECK(plan.total_ranks() <= sim.nranks(),
              "plan uses more ranks than the simulated machine has");

@@ -31,7 +31,7 @@ using sparse::Coo;
 using sparse::Csr;
 
 template <typename T>
-using Keep = dist::detail::KeepFirst<T>;
+using Keep = sparse::KeepFirst<T>;
 
 /// The per-block dense fields of the MFBC batch state: accumulated T
 /// (distances, multiplicities), the centrality factors ζ, the Algorithm 2

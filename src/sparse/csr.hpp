@@ -16,6 +16,19 @@
 
 namespace mfbc::sparse {
 
+/// "Keep first" pseudo-monoid for Csr::from_coo on entries known to be
+/// duplicate-free (a rebuild from disjoint blocks, a redistribution, a
+/// transposition): nothing is merged and no entry is dropped as identity.
+template <typename T>
+struct KeepFirst {
+  using value_type = T;
+  static value_type identity() { return value_type{}; }
+  static value_type combine(const value_type& a, const value_type&) {
+    return a;
+  }
+  static bool is_identity(const value_type&) { return false; }
+};
+
 template <typename T>
 class Csr {
  public:
