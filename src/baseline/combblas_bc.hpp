@@ -13,18 +13,22 @@
 //     (§7.1), and rejects weighted graphs, mirroring that prior algebraic BC
 //     codes "have largely been limited to unweighted graphs" (§2.4).
 //
-// Since the baseline-parity refactor the engine runs on the shared batched-BC
-// driver (core/batch_driver.hpp): it gains λ-checkpoint/rollback recovery
-// under fault injection (bit-identical results for every recoverable
-// schedule, at every thread count) and, with a tune::Tuner attached,
-// per-multiply calibrated re-planning — restricted to the square-grid 2D
-// plan space the CombBLAS design permits, with its own plan-cache key space
-// (streams baseline.forward / baseline.backward, monoids count / dep).
+// Everything around the BFS and backward loops — ingest, the shared
+// batched-BC driver (core/batch_driver.hpp), planning, the multiply step
+// and phase accounting — is the engine shell's (core/dist_engine.hpp),
+// shared with core::DistMfbc. So the engine has λ-checkpoint/rollback
+// recovery under fault injection (bit-identical results for every
+// recoverable schedule, at every thread count) and, with a tune::Tuner
+// attached, per-multiply calibrated re-planning — restricted to the
+// square-grid 2D plan space the CombBLAS design permits, with its own
+// plan-cache key space (streams baseline.forward / baseline.backward,
+// monoids count / dep).
 #pragma once
 
 #include <vector>
 
 #include "core/batch_driver.hpp"
+#include "core/dist_engine.hpp"
 #include "dist/partition.hpp"
 #include "dist/spgemm_dist.hpp"
 #include "graph/graph.hpp"
@@ -59,26 +63,7 @@ struct CombBlasOptions {
   core::BatchRunOptions::BatchObserver on_batch;
 };
 
-struct CombBlasStats {
-  FrontierTrace forward;
-  FrontierTrace backward;
-  int batches = 0;
-  int batch_retries = 0;    ///< batches re-run after a rank failure
-  int resumed_batches = 0;  ///< batches skipped by a --resume restart
-  int spare_rehomes = 0;    ///< recoveries served from the spare pool
-  int grid_shrinks = 0;     ///< recoveries that shrank the physical grid
-  std::vector<std::string> plans_used;  ///< distinct plan names, in order seen
-  /// Critical-path cost deltas per phase (summed over batches), mirroring
-  /// DistMfbcStats so bench tables can report both engines side by side.
-  sim::Cost forward_cost;
-  sim::Cost backward_cost;
-  /// Max/mean per-rank load factors of the run (docs/partitioning.md):
-  /// resident adjacency nonzeros per rank and measured multiply ops per
-  /// rank. 1.0 is perfectly balanced; also exported as the
-  /// dist.imbalance.{nnz,ops} gauges.
-  double imbalance_nnz = 1.0;
-  double imbalance_ops = 1.0;
-};
+using CombBlasStats = core::DistBcStats;
 
 class CombBlasBc {
  public:
@@ -101,37 +86,19 @@ class CombBlasBc {
   std::vector<double> run(const CombBlasOptions& opts,
                           CombBlasStats* stats = nullptr);
 
-  sim::Sim& sim() { return sim_; }
+  sim::Sim& sim() { return shell_.sim(); }
 
  private:
   struct Batch;
 
-  /// Per-multiply plan selection: the fixed SUMMA plan without a tuner, the
-  /// tuner's choice over the square-grid 2D candidates with one.
-  dist::Plan plan_for(const CombBlasOptions& opts, const char* stream,
-                      const char* monoid, double frontier_nnz,
-                      double b_nnz) const;
-
   /// One forward BFS + level-synchronized backward pass over
   /// `batch_sources`, accumulating into `lambda`. The shared driver owns
   /// checkpointing and rollback.
-  void run_batch(const CombBlasOptions& opts,
-                 const std::vector<graph::vid_t>& batch_sources,
-                 std::vector<double>& lambda, CombBlasStats* stats,
-                 std::span<const int> all_ranks, int batch_index);
+  void run_batch(const std::vector<graph::vid_t>& batch_sources,
+                 std::vector<double>& lambda, std::span<const int> all_ranks);
 
-  sim::Sim& sim_;
-  dist::Partition part_;  ///< vertex ordering (identity for plain block)
-  graph::Graph gp_;       ///< the relabeled graph (empty when identity)
-  const graph::Graph& g_; ///< the graph the engine computes on (gp_ or caller's)
-  dist::Plan plan_;    ///< fixed 2D SUMMA on the square grid
-  dist::Layout base_;  ///< the √p×√p base grid (λ-checkpoint rows)
-  dist::DistMatrix<Weight> adj_;
-  dist::DistMatrix<Weight> adj_t_;
-  dist::HomeCache<Weight> adj_cache_;
-  dist::HomeCache<Weight> adj_t_cache_;
-  double imb_nnz_ = 1.0;  ///< measured per-rank resident-nnz imbalance
-  dist::DistSpgemmStats run_ops_;  ///< per-rank ops across the run's multiplies
+  dist::Plan plan_;  ///< fixed 2D SUMMA on the square grid
+  core::DistEngine shell_;
 };
 
 }  // namespace mfbc::baseline

@@ -13,9 +13,11 @@
 //
 // The accumulated matrices T/ζ and the frontier bookkeeping live in dense
 // per-rank state blocks aligned with a fixed nb×n state grid — O(n·nb/p)
-// words per rank, the Theorem 5.1 memory footprint. The adjacency operand is
-// mapped to each plan's home layout once and cached (the theorem's
-// replication amortization).
+// words per rank, the Theorem 5.1 memory footprint. Everything around the
+// MFBF/MFBr state loops — ingest, the batch-driver wiring, planning, the
+// multiply step with its cached plan-home adjacency copies (the theorem's
+// replication amortization), and phase accounting — is the engine shell's
+// (core/dist_engine.hpp), shared with baseline::CombBlasBc.
 #pragma once
 
 #include <cstdint>
@@ -25,6 +27,7 @@
 #include <vector>
 
 #include "core/batch_driver.hpp"
+#include "core/dist_engine.hpp"
 #include "dist/partition.hpp"
 #include "dist/spgemm_dist.hpp"
 #include "graph/graph.hpp"
@@ -66,9 +69,10 @@ struct DistMfbcOptions {
   /// Results are unchanged by this flag (plans never change results); only
   /// which plan runs can differ.
   bool stable_plans = false;
-  /// Structural signature of the graph version (graph/mutate.hpp). Bound
-  /// into durable-checkpoint signatures and tuner plan-cache keys; 0 (the
-  /// batch default) keeps pre-versioning checkpoints and profiles usable.
+  /// Structural signature of the graph version (graph/mutate.hpp). Keys
+  /// the tuner's plan cache; 0 (the batch default) keeps pre-versioning
+  /// profiles usable. Durable checkpoints do not read it: they are always
+  /// bound to the signature of the graph the engine computes on.
   std::uint64_t graph_signature = 0;
   /// When set, receives one λ-delta per batch in the caller's original
   /// vertex ids (core/batch_driver.hpp batch_deltas, unpermuted the same
@@ -83,27 +87,7 @@ struct DistMfbcOptions {
   BatchRunOptions::BatchObserver on_batch;
 };
 
-struct DistMfbcStats {
-  FrontierTrace forward;
-  FrontierTrace backward;
-  int batches = 0;
-  int batch_retries = 0;    ///< batches re-run after a rank failure
-  int resumed_batches = 0;  ///< batches skipped by a --resume restart
-  int spare_rehomes = 0;    ///< recoveries served from the spare pool
-  int grid_shrinks = 0;     ///< recoveries that shrank the physical grid
-  std::vector<std::string> plans_used;  ///< distinct plan names, in order seen
-  /// Critical-path cost deltas per phase (summed over batches): how much of
-  /// the run's W/S/time the forward (MFBF) and backward (MFBr) phases each
-  /// contributed — the Table 3 breakdown at phase granularity.
-  sim::Cost forward_cost;
-  sim::Cost backward_cost;
-  /// Max/mean per-rank load factors of the run (docs/partitioning.md):
-  /// resident adjacency nonzeros per rank and measured multiply ops per
-  /// rank. 1.0 is perfectly balanced; also exported as the
-  /// dist.imbalance.{nnz,ops} gauges.
-  double imbalance_nnz = 1.0;
-  double imbalance_ops = 1.0;
-};
+using DistMfbcStats = DistBcStats;
 
 /// The Theorem 5.1 processor grid for p ranks and replication factor c.
 dist::Plan ca_plan(int p, int c);
@@ -133,36 +117,20 @@ class DistMfbc {
   std::vector<double> run(const DistMfbcOptions& opts,
                           DistMfbcStats* stats = nullptr);
 
-  const dist::DistMatrix<Weight>& adj() const { return adj_; }
-  sim::Sim& sim() { return sim_; }
+  const dist::DistMatrix<Weight>& adj() const { return shell_.adj(); }
+  sim::Sim& sim() { return shell_.sim(); }
 
  private:
   struct Batch;  // per-batch dense state blocks (defined in the .cpp)
-
-  dist::Plan plan_for(const DistMfbcOptions& opts, const char* stream,
-                      const char* monoid, double frontier_nnz, double b_nnz,
-                      double out_words) const;
 
   /// One full MFBF + MFBr pass over `batch_sources`, accumulating into
   /// `lambda`. Throws sim::FaultError out of the charging layer on rank
   /// failure; the shared batch driver's retry loop (core/batch_driver.hpp)
   /// owns checkpointing and rollback.
-  void run_batch(const DistMfbcOptions& opts,
-                 const std::vector<vid_t>& batch_sources,
-                 std::vector<double>& lambda, DistMfbcStats* stats,
-                 std::span<const int> all_ranks, int batch_index);
+  void run_batch(const std::vector<vid_t>& batch_sources,
+                 std::vector<double>& lambda, std::span<const int> all_ranks);
 
-  sim::Sim& sim_;
-  dist::Partition part_;  ///< vertex ordering (identity for plain block)
-  graph::Graph gp_;       ///< the relabeled graph (empty when identity)
-  const graph::Graph& g_; ///< the graph the engine computes on (gp_ or caller's)
-  dist::Layout base_;                  ///< near-square grid over all ranks
-  dist::DistMatrix<Weight> adj_;       ///< A
-  dist::DistMatrix<Weight> adj_t_;     ///< Aᵀ
-  dist::HomeCache<Weight> adj_cache_;  ///< plan-home copies of A
-  dist::HomeCache<Weight> adj_t_cache_;
-  double imb_nnz_ = 1.0;  ///< measured per-rank resident-nnz imbalance
-  dist::DistSpgemmStats run_ops_;  ///< per-rank ops across the run's multiplies
+  DistEngine shell_;
 };
 
 }  // namespace mfbc::core

@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "baseline/combblas_bc.hpp"
 #include "core/checkpoint.hpp"
 #include "graph/generators.hpp"
 #include "mfbc/mfbc_dist.hpp"
@@ -554,6 +555,47 @@ TEST(DurableCheckpoint, ResumeRejectsACheckpointFromADifferentRun) {
   } catch (const mfbc::Error& e) {
     EXPECT_NE(std::string(e.what()).find("signature"), std::string::npos)
         << e.what();
+  }
+}
+
+// Each engine binds its checkpoints to the graph it computes on: a
+// checkpoint from another graph of the same size, batching and sources is
+// refused, signature or no signature passed by the caller.
+TEST(DurableCheckpoint, ResumeRejectsACheckpointFromAnotherGraph) {
+  const Graph written_on = graph::erdos_renyi(40, 120, false, {}, 1);
+  const Graph resumed_on = graph::erdos_renyi(40, 120, false, {}, 2);
+  auto run_on = [](const Graph& g, bool combblas, const std::string& dir,
+                   bool resume) {
+    sim::Sim sim(4);
+    if (combblas) {
+      baseline::CombBlasBc engine(sim, g);
+      baseline::CombBlasOptions opts;
+      opts.batch_size = 8;
+      opts.checkpoint_dir = dir;
+      opts.resume = resume;
+      return engine.run(opts);
+    }
+    DistMfbc engine(sim, g);
+    DistMfbcOptions opts;
+    opts.batch_size = 8;
+    opts.checkpoint_dir = dir;
+    opts.resume = resume;
+    return engine.run(opts);
+  };
+  for (const bool combblas : {false, true}) {
+    const std::string dir =
+        fresh_dir(combblas ? "elastic_other_graph_combblas"
+                           : "elastic_other_graph_mfbc");
+    run_on(written_on, combblas, dir, false);
+    try {
+      run_on(resumed_on, combblas, dir, true);
+      ADD_FAILURE() << (combblas ? "combblas" : "mfbc")
+                    << ": expected the other graph's checkpoint to be "
+                       "rejected";
+    } catch (const mfbc::Error& e) {
+      EXPECT_NE(std::string(e.what()).find("signature"), std::string::npos)
+          << e.what();
+    }
   }
 }
 
