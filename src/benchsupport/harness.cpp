@@ -11,7 +11,6 @@
 #include "support/strutil.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/ledger_sink.hpp"
-#include "telemetry/registry.hpp"
 
 namespace mfbc::bench {
 
@@ -31,32 +30,6 @@ std::string& session_tuner_path() {
   static std::string path;
   return path;
 }
-
-#if MFBC_TELEMETRY
-/// Registry counter values before a measured run, so the harness can report
-/// per-cell deltas (the registry accumulates across cells and warmup runs).
-struct PhaseBaseline {
-  double fwd_iters, bwd_iters, fwd_words, bwd_words;
-};
-
-PhaseBaseline phase_baseline() {
-  const telemetry::Registry& reg = telemetry::registry();
-  return PhaseBaseline{reg.value("mfbc.forward.iterations"),
-                       reg.value("mfbc.backward.iterations"),
-                       reg.value("mfbc.forward.words"),
-                       reg.value("mfbc.backward.words")};
-}
-
-void fill_phases_from_registry(CellResult& r, const PhaseBaseline& base) {
-  const telemetry::Registry& reg = telemetry::registry();
-  r.fwd_iterations = static_cast<int>(
-      reg.value("mfbc.forward.iterations") - base.fwd_iters);
-  r.bwd_iterations = static_cast<int>(
-      reg.value("mfbc.backward.iterations") - base.bwd_iters);
-  r.fwd_words = reg.value("mfbc.forward.words") - base.fwd_words;
-  r.bwd_words = reg.value("mfbc.backward.words") - base.bwd_words;
-}
-#endif
 
 std::vector<graph::vid_t> pick_sources(const graph::Graph& g,
                                        const CellConfig& cfg) {
@@ -109,6 +82,58 @@ void fill_fault_outcome(CellResult& r, const sim::Sim& sim,
   r.spare_idle_seconds = sp.idle_seconds;
 }
 
+/// One measured cell on `Engine`, whatever the engine: `opts` carries the
+/// engine's own settings; batch size, sources and the session tuner are
+/// filled in here. Recorded in the session store under `kind`.
+template <typename Engine, typename Options>
+CellResult run_cell(const graph::Graph& g, const CellConfig& cfg,
+                    Options opts, const char* kind) {
+  CellResult r;
+  r.nodes = cfg.nodes;
+  try {
+    sim::Sim sim(cfg.nodes, cfg.machine);
+    // Route every ledger charge of this cell into the active span and the
+    // metric registry for the duration of the run.
+    telemetry::ScopedLedgerSink sink(sim.ledger());
+    Engine engine(sim, g);
+    if (!cfg.fault_spec.empty()) {
+      // Enable after construction so the one-time adjacency distribution
+      // (excluded from measurement by the ledger reset below) does not
+      // consume charge indices — fault schedules stay comparable per batch.
+      sim.enable_faults(sim::FaultSpec::parse(cfg.fault_spec, cfg.fault_seed));
+    }
+    opts.batch_size = cfg.batch_size;
+    opts.tuner = session_tuner();
+    opts.sources = pick_sources(g, cfg);
+    if (cfg.warmup) {
+      Options warm = opts;
+      warm.sources.assign(
+          opts.sources.begin(),
+          opts.sources.begin() +
+              std::min<std::ptrdiff_t>(
+                  static_cast<std::ptrdiff_t>(opts.sources.size()),
+                  static_cast<std::ptrdiff_t>(cfg.batch_size)));
+      engine.run(warm);
+    }
+    sim.ledger().reset();  // exclude one-time graph distribution, as §7 does
+    core::DistBcStats stats;
+    engine.run(opts, &stats);
+    r.fwd_iterations = stats.forward.iterations();
+    r.bwd_iterations = stats.backward.iterations();
+    r.fwd_words = stats.forward_cost.words;
+    r.bwd_words = stats.backward_cost.words;
+    r.plans = stats.plans_used;
+    fill_costs(r, sim, g, static_cast<double>(opts.sources.size()));
+    fill_fault_outcome(r, sim, stats.batch_retries, stats.spare_rehomes,
+                       stats.grid_shrinks);
+  } catch (const Error& e) {
+    r.ok = false;
+    r.error = e.what();
+  }
+  session_cells_mutable().push_back({kind, r});
+  return r;
+}
+
 }  // namespace
 
 void apply_fault_flags(const BenchArgs& args, CellConfig& cfg) {
@@ -142,106 +167,15 @@ void save_session_tuner() {
 }
 
 CellResult run_mfbc_cell(const graph::Graph& g, const CellConfig& cfg) {
-  CellResult r;
-  r.nodes = cfg.nodes;
-  try {
-    sim::Sim sim(cfg.nodes, cfg.machine);
-    // Route every ledger charge of this cell into the active span and the
-    // metric registry for the duration of the run.
-    telemetry::ScopedLedgerSink sink(sim.ledger());
-    core::DistMfbc engine(sim, g);
-    if (!cfg.fault_spec.empty()) {
-      // Enable after construction so the one-time adjacency distribution
-      // (excluded from measurement by the ledger reset below) does not
-      // consume charge indices — fault schedules stay comparable per batch.
-      sim.enable_faults(sim::FaultSpec::parse(cfg.fault_spec, cfg.fault_seed));
-    }
-    core::DistMfbcOptions opts;
-    opts.batch_size = cfg.batch_size;
-    opts.plan_mode = cfg.plan_mode;
-    opts.replication_c = cfg.replication_c;
-    opts.tuner = session_tuner();
-    opts.sources = pick_sources(g, cfg);
-    if (cfg.warmup) {
-      core::DistMfbcOptions warm = opts;
-      warm.sources.assign(
-          opts.sources.begin(),
-          opts.sources.begin() +
-              std::min<std::ptrdiff_t>(
-                  static_cast<std::ptrdiff_t>(opts.sources.size()),
-                  static_cast<std::ptrdiff_t>(cfg.batch_size)));
-      engine.run(warm);
-    }
-    sim.ledger().reset();  // exclude one-time graph distribution, as §7 does
-    core::DistMfbcStats stats;
-#if MFBC_TELEMETRY
-    // Phase iteration/word counts come off the telemetry registry (deltas
-    // over the measured run) rather than hand-threaded stats fields.
-    const PhaseBaseline base = phase_baseline();
-    engine.run(opts, &stats);
-    fill_phases_from_registry(r, base);
-#else
-    engine.run(opts, &stats);
-    r.fwd_iterations = stats.forward.iterations();
-    r.bwd_iterations = stats.backward.iterations();
-    r.fwd_words = stats.forward_cost.words;
-    r.bwd_words = stats.backward_cost.words;
-#endif
-    r.plans = stats.plans_used;
-    fill_costs(r, sim, g, static_cast<double>(opts.sources.size()));
-    fill_fault_outcome(r, sim, stats.batch_retries, stats.spare_rehomes,
-                       stats.grid_shrinks);
-  } catch (const Error& e) {
-    r.ok = false;
-    r.error = e.what();
-  }
-  session_cells_mutable().push_back({"mfbc", r});
-  return r;
+  core::DistMfbcOptions opts;
+  opts.plan_mode = cfg.plan_mode;
+  opts.replication_c = cfg.replication_c;
+  return run_cell<core::DistMfbc>(g, cfg, std::move(opts), "mfbc");
 }
 
 CellResult run_combblas_cell(const graph::Graph& g, const CellConfig& cfg) {
-  CellResult r;
-  r.nodes = cfg.nodes;
-  try {
-    sim::Sim sim(cfg.nodes, cfg.machine);
-    telemetry::ScopedLedgerSink sink(sim.ledger());
-    baseline::CombBlasBc engine(sim, g);
-    if (!cfg.fault_spec.empty()) {
-      // Same discipline as run_mfbc_cell: enable after construction so the
-      // one-time distribution does not consume charge indices.
-      sim.enable_faults(sim::FaultSpec::parse(cfg.fault_spec, cfg.fault_seed));
-    }
-    baseline::CombBlasOptions opts;
-    opts.batch_size = cfg.batch_size;
-    opts.sources = pick_sources(g, cfg);
-    opts.tuner = session_tuner();
-    if (cfg.warmup) {
-      baseline::CombBlasOptions warm = opts;
-      warm.sources.assign(
-          opts.sources.begin(),
-          opts.sources.begin() +
-              std::min<std::ptrdiff_t>(
-                  static_cast<std::ptrdiff_t>(opts.sources.size()),
-                  static_cast<std::ptrdiff_t>(cfg.batch_size)));
-      engine.run(warm);
-    }
-    sim.ledger().reset();
-    baseline::CombBlasStats stats;
-    engine.run(opts, &stats);
-    r.fwd_iterations = stats.forward.iterations();
-    r.bwd_iterations = stats.backward.iterations();
-    r.fwd_words = stats.forward_cost.words;
-    r.bwd_words = stats.backward_cost.words;
-    r.plans = stats.plans_used;
-    fill_costs(r, sim, g, static_cast<double>(opts.sources.size()));
-    fill_fault_outcome(r, sim, stats.batch_retries, stats.spare_rehomes,
-                       stats.grid_shrinks);
-  } catch (const Error& e) {
-    r.ok = false;
-    r.error = e.what();
-  }
-  session_cells_mutable().push_back({"combblas", r});
-  return r;
+  return run_cell<baseline::CombBlasBc>(g, cfg, baseline::CombBlasOptions{},
+                                        "combblas");
 }
 
 std::string cell_str(const CellResult& r) {
