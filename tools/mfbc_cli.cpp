@@ -469,6 +469,124 @@ bool allow_async_of(const Args& a) {
   return true;
 }
 
+/// The --json blocks of a bc run; null when the run has none.
+struct BcJson {
+  telemetry::Json cost;      ///< ledger cost of a simulated run
+  telemetry::Json faults;    ///< fault-injection outcome, if enabled
+  telemetry::Json tune;      ///< adaptive-tuner summary, if attached
+  telemetry::Json approx;    ///< adaptive (eps,delta) sampling outcome
+  telemetry::Json baseline;  ///< combblas engine summary
+};
+
+struct SimulatedBc {
+  std::vector<double> bc;
+  core::DistBcStats stats;
+  int exit_code = 0;  ///< 3 after an unrecoverable fault schedule
+};
+
+/// A bc run on a simulated machine, on either engine: the partitioned
+/// engine, faults with spares, the tuner's load, summary and save, the
+/// adaptive sampler, the unrecoverable-fault report, and the cost, overlap
+/// and fault reports. `opts` carries the engine's own settings; `headline`
+/// opens the cost line.
+template <typename Engine, typename Options>
+SimulatedBc run_simulated_bc(const Args& a, const graph::Graph& g,
+                             const sim::MachineModel& machine, int spares,
+                             Options opts, const std::string& headline,
+                             BcJson& json) {
+  sim::Sim sim(std::max(a.ranks, 1), machine);
+  // Route ledger charges into the telemetry registry so the --json
+  // artifact carries sim.* totals alongside the faults.* counters.
+  telemetry::ScopedLedgerSink sink(sim.ledger());
+  Engine engine(sim, g,
+                dist::make_partition(g, dist::partition_kind_of(a.partition),
+                                     sim.nranks()));
+  if (!a.faults.empty()) {
+    // After construction: the one-time graph distribution does not
+    // consume charge indices, so schedules address the algorithm itself.
+    sim::FaultSpec spec = sim::FaultSpec::parse(a.faults, a.fault_seed);
+    spec.spares += spares;
+    sim.enable_faults(spec);
+  }
+  opts.batch_size = a.batch;
+  opts.tune.allow_async = allow_async_of(a);
+  opts.checkpoint_dir = a.checkpoint_dir;
+  opts.resume = a.resume;
+  if (a.approx > 0) opts.sources = pivot_sources(g, a.approx);
+  std::unique_ptr<tune::Tuner> tuner = make_tuner(a, machine);
+  opts.tuner = tuner.get();
+  SimulatedBc out;
+  try {
+    if (a.adaptive) {
+      const core::AdaptiveSamplerOptions aopts = adaptive_opts(a, g);
+      const core::AdaptiveSampleResult ares = core::run_adaptive_bc(
+          g.n(), aopts,
+          [&](const std::vector<graph::vid_t>& srcs,
+              const core::BatchRunOptions::BatchObserver& ob, bool resume) {
+            Options ropts = opts;
+            ropts.sources = srcs;
+            ropts.on_batch = ob;
+            ropts.resume = resume;
+            return engine.run(ropts, &out.stats);
+          });
+      out.bc = ares.lambda;
+      print_adaptive_summary(ares, aopts, g.n());
+      json.approx = core::approx_json(ares, aopts);
+    } else {
+      out.bc = engine.run(opts, &out.stats);
+    }
+  } catch (const sim::FaultError& e) {
+    if (e.recoverable()) throw;
+    out.exit_code = report_unrecoverable(e, a, sim, out.stats.batch_retries);
+    return out;
+  }
+  const auto cost = sim.ledger().critical();
+  std::printf("%s: critical path %s, %.0f msgs, modelled %.4fs, plans:",
+              headline.c_str(), human_bytes(cost.words * 8).c_str(),
+              cost.msgs, cost.total_seconds());
+  for (const auto& p : out.stats.plans_used) std::printf(" %s", p.c_str());
+  std::puts("");
+  if (sim.overlap_windows() > 0) {
+    std::printf("overlap: %llu windows, modelled %.4fs hidden behind "
+                "compute\n",
+                static_cast<unsigned long long>(sim.overlap_windows()),
+                sim.overlap_saved_seconds());
+  }
+  if (tuner) {
+    print_tune_summary(*tuner);
+    json.tune = tuner->json();
+    tuner->save(a.tune_profile);
+    std::printf("[tune] wrote %s\n", a.tune_profile.c_str());
+  }
+  json.cost = cost_block(cost);
+  if (const sim::FaultInjector* fi = sim.faults()) {
+    json.faults = fault_block(*fi, out.stats.batch_retries,
+                              cost.total_seconds());
+  }
+  return out;
+}
+
+/// The --json `baseline` block of a combblas run.
+telemetry::Json baseline_block(const core::DistBcStats& stats) {
+  telemetry::Json j = telemetry::Json::object();
+  j["engine"] = telemetry::Json(std::string("combblas"));
+  j["batches"] = telemetry::Json(stats.batches);
+  j["batch_retries"] = telemetry::Json(stats.batch_retries);
+  if (stats.resumed_batches > 0) {
+    j["resumed_batches"] = telemetry::Json(stats.resumed_batches);
+  }
+  telemetry::Json plans = telemetry::Json::array();
+  for (const auto& p : stats.plans_used) plans.push(telemetry::Json(p));
+  j["plans"] = std::move(plans);
+  j["forward_seconds"] = telemetry::Json(stats.forward_cost.total_seconds());
+  j["backward_seconds"] = telemetry::Json(stats.backward_cost.total_seconds());
+  j["forward_words"] = telemetry::Json(stats.forward_cost.words);
+  j["backward_words"] = telemetry::Json(stats.backward_cost.words);
+  j["imbalance_nnz"] = telemetry::Json(stats.imbalance_nnz);
+  j["imbalance_ops"] = telemetry::Json(stats.imbalance_ops);
+  return j;
+}
+
 int run(const Args& a) {
   if (a.threads > 0) support::set_threads(a.threads);
   if (!a.tune_file.empty()) {
@@ -682,182 +800,35 @@ int run(const Args& a) {
   // Spares can come from either flag: --spares N and the machine-profile's
   // `spare` class add up to one pool.
   const int total_spares = a.spares + profile_spares;
-  telemetry::Json cost_json;     // ledger cost of the simulated run, if any
-  telemetry::Json faults_json;   // fault-injection outcome, if enabled
-  telemetry::Json tune_json;     // adaptive-tuner summary, if attached
-  telemetry::Json baseline_json; // combblas engine summary, if it ran
-  telemetry::Json approx_block;  // adaptive (ε,δ) sampling outcome, if used
+  BcJson json;
   std::vector<double> bc;
   if (a.algo == "brandes") {
     bc = a.approx > 0
              ? baseline::brandes_partial(g, pivot_sources(g, a.approx))
              : baseline::brandes(g);
   } else if (a.algo == "combblas") {
-    sim::Sim sim(a.ranks > 0 ? a.ranks : 1, machine);
-    telemetry::ScopedLedgerSink sink(sim.ledger());
-    baseline::CombBlasBc engine(sim, g,
-                                dist::make_partition(g, pkind, sim.nranks()));
-    if (!a.faults.empty()) {
-      // After construction: the one-time graph distribution does not
-      // consume charge indices, so schedules address the algorithm itself.
-      sim::FaultSpec spec = sim::FaultSpec::parse(a.faults, a.fault_seed);
-      spec.spares += total_spares;
-      sim.enable_faults(spec);
-    }
-    baseline::CombBlasOptions opts;
-    opts.batch_size = a.batch;
-    opts.tune.allow_async = allow_async;
-    opts.checkpoint_dir = a.checkpoint_dir;
-    opts.resume = a.resume;
-    if (a.approx > 0) opts.sources = pivot_sources(g, a.approx);
-    std::unique_ptr<tune::Tuner> tuner = make_tuner(a, machine);
-    opts.tuner = tuner.get();
-    baseline::CombBlasStats stats;
-    try {
-      if (a.adaptive) {
-        const core::AdaptiveSamplerOptions aopts = adaptive_opts(a, g);
-        const core::AdaptiveSampleResult ares = core::run_adaptive_bc(
-            g.n(), aopts,
-            [&](const std::vector<graph::vid_t>& srcs,
-                const core::BatchRunOptions::BatchObserver& ob,
-                bool resume) {
-              baseline::CombBlasOptions ropts = opts;
-              ropts.sources = srcs;
-              ropts.on_batch = ob;
-              ropts.resume = resume;
-              return engine.run(ropts, &stats);
-            });
-        bc = ares.lambda;
-        print_adaptive_summary(ares, aopts, g.n());
-        approx_block = core::approx_json(ares, aopts);
-      } else {
-        bc = engine.run(opts, &stats);
-      }
-    } catch (const sim::FaultError& e) {
-      if (e.recoverable()) throw;
-      return report_unrecoverable(e, a, sim, stats.batch_retries);
-    }
-    const auto cost = sim.ledger().critical();
-    std::printf("combblas-style on %d ranks: critical path %s, %.0f msgs, "
-                "modelled %.4fs, plans:",
-                sim.nranks(), human_bytes(cost.words * 8).c_str(), cost.msgs,
-                cost.total_seconds());
-    for (const auto& p : stats.plans_used) std::printf(" %s", p.c_str());
-    std::puts("");
-    if (sim.overlap_windows() > 0) {
-      std::printf("overlap: %llu windows, modelled %.4fs hidden behind "
-                  "compute\n",
-                  static_cast<unsigned long long>(sim.overlap_windows()),
-                  sim.overlap_saved_seconds());
-    }
-    if (tuner) {
-      print_tune_summary(*tuner);
-      tune_json = tuner->json();
-      tuner->save(a.tune_profile);
-      std::printf("[tune] wrote %s\n", a.tune_profile.c_str());
-    }
-    cost_json = cost_block(cost);
-    baseline_json = telemetry::Json::object();
-    baseline_json["engine"] = telemetry::Json(std::string("combblas"));
-    baseline_json["batches"] = telemetry::Json(stats.batches);
-    baseline_json["batch_retries"] = telemetry::Json(stats.batch_retries);
-    if (stats.resumed_batches > 0) {
-      baseline_json["resumed_batches"] =
-          telemetry::Json(stats.resumed_batches);
-    }
-    telemetry::Json plans = telemetry::Json::array();
-    for (const auto& p : stats.plans_used) plans.push(telemetry::Json(p));
-    baseline_json["plans"] = std::move(plans);
-    baseline_json["forward_seconds"] =
-        telemetry::Json(stats.forward_cost.total_seconds());
-    baseline_json["backward_seconds"] =
-        telemetry::Json(stats.backward_cost.total_seconds());
-    baseline_json["forward_words"] = telemetry::Json(stats.forward_cost.words);
-    baseline_json["backward_words"] =
-        telemetry::Json(stats.backward_cost.words);
-    baseline_json["imbalance_nnz"] = telemetry::Json(stats.imbalance_nnz);
-    baseline_json["imbalance_ops"] = telemetry::Json(stats.imbalance_ops);
-    if (const sim::FaultInjector* fi = sim.faults()) {
-      faults_json = fault_block(*fi, stats.batch_retries,
-                                cost.total_seconds());
-    }
+    SimulatedBc run = run_simulated_bc<baseline::CombBlasBc>(
+        a, g, machine, total_spares, baseline::CombBlasOptions{},
+        "combblas-style on " + std::to_string(std::max(a.ranks, 1)) +
+            " ranks",
+        json);
+    if (run.exit_code != 0) return run.exit_code;
+    bc = std::move(run.bc);
+    json.baseline = baseline_block(run.stats);
   } else if (a.algo == "mfbc" && a.ranks > 0) {
-    sim::Sim sim(a.ranks, machine);
-    // Route ledger charges into the telemetry registry so the --json
-    // artifact carries sim.* totals alongside the faults.* counters.
-    telemetry::ScopedLedgerSink sink(sim.ledger());
-    core::DistMfbc engine(sim, g, dist::make_partition(g, pkind, a.ranks));
-    if (!a.faults.empty()) {
-      // After construction: the one-time graph distribution does not
-      // consume charge indices, so schedules address the algorithm itself.
-      sim::FaultSpec spec = sim::FaultSpec::parse(a.faults, a.fault_seed);
-      spec.spares += total_spares;
-      sim.enable_faults(spec);
-    }
     core::DistMfbcOptions opts;
-    opts.batch_size = a.batch;
     opts.plan_mode =
         a.mode == "ca" ? core::PlanMode::kFixedCa : core::PlanMode::kAuto;
-    opts.tune.allow_async = allow_async;
     opts.replication_c = a.c;
-    opts.checkpoint_dir = a.checkpoint_dir;
-    opts.resume = a.resume;
-    // Bind checkpoints and plan-cache keys to this exact graph version
-    // (docs/serving.md): a checkpoint taken on one structure can never be
-    // resumed against another, and cached plans are per-structure.
+    // Key cached plans to this exact graph version (docs/serving.md): plans
+    // tuned on one structure are never reused on another.
     opts.graph_signature = graph::structural_signature(g);
-    if (a.approx > 0) opts.sources = pivot_sources(g, a.approx);
-    std::unique_ptr<tune::Tuner> tuner = make_tuner(a, machine);
-    opts.tuner = tuner.get();
-    core::DistMfbcStats stats;
-    try {
-      if (a.adaptive) {
-        const core::AdaptiveSamplerOptions aopts = adaptive_opts(a, g);
-        const core::AdaptiveSampleResult ares = core::run_adaptive_bc(
-            g.n(), aopts,
-            [&](const std::vector<graph::vid_t>& srcs,
-                const core::BatchRunOptions::BatchObserver& ob,
-                bool resume) {
-              core::DistMfbcOptions ropts = opts;
-              ropts.sources = srcs;
-              ropts.on_batch = ob;
-              ropts.resume = resume;
-              return engine.run(ropts, &stats);
-            });
-        bc = ares.lambda;
-        print_adaptive_summary(ares, aopts, g.n());
-        approx_block = core::approx_json(ares, aopts);
-      } else {
-        bc = engine.run(opts, &stats);
-      }
-    } catch (const sim::FaultError& e) {
-      if (e.recoverable()) throw;
-      return report_unrecoverable(e, a, sim, stats.batch_retries);
-    }
-    const auto cost = sim.ledger().critical();
-    std::printf("mfbc on %d ranks (%s): critical path %s, %.0f msgs, "
-                "modelled %.4fs, plans:",
-                a.ranks, a.mode.c_str(), human_bytes(cost.words * 8).c_str(),
-                cost.msgs, cost.total_seconds());
-    for (const auto& p : stats.plans_used) std::printf(" %s", p.c_str());
-    std::puts("");
-    if (sim.overlap_windows() > 0) {
-      std::printf("overlap: %llu windows, modelled %.4fs hidden behind "
-                  "compute\n",
-                  static_cast<unsigned long long>(sim.overlap_windows()),
-                  sim.overlap_saved_seconds());
-    }
-    if (tuner) {
-      print_tune_summary(*tuner);
-      tune_json = tuner->json();
-      tuner->save(a.tune_profile);
-      std::printf("[tune] wrote %s\n", a.tune_profile.c_str());
-    }
-    cost_json = cost_block(cost);
-    if (const sim::FaultInjector* fi = sim.faults()) {
-      faults_json = fault_block(*fi, stats.batch_retries,
-                                cost.total_seconds());
-    }
+    SimulatedBc run = run_simulated_bc<core::DistMfbc>(
+        a, g, machine, total_spares, std::move(opts),
+        "mfbc on " + std::to_string(a.ranks) + " ranks (" + a.mode + ")",
+        json);
+    if (run.exit_code != 0) return run.exit_code;
+    bc = std::move(run.bc);
   } else if (a.algo == "mfbc") {
     core::MfbcOptions opts;
     opts.batch_size = a.batch;
@@ -894,14 +865,12 @@ int run(const Args& a) {
       config["resume"] = telemetry::Json(a.resume);
     }
     summary.set("config", std::move(config));
-    if (!cost_json.is_null()) summary.set("cost", std::move(cost_json));
-    if (!faults_json.is_null()) summary.set("faults", std::move(faults_json));
-    if (!tune_json.is_null()) summary.set("tune", std::move(tune_json));
-    if (!approx_block.is_null()) {
-      summary.set("approx", std::move(approx_block));
-    }
-    if (!baseline_json.is_null()) {
-      summary.set("baseline", std::move(baseline_json));
+    if (!json.cost.is_null()) summary.set("cost", std::move(json.cost));
+    if (!json.faults.is_null()) summary.set("faults", std::move(json.faults));
+    if (!json.tune.is_null()) summary.set("tune", std::move(json.tune));
+    if (!json.approx.is_null()) summary.set("approx", std::move(json.approx));
+    if (!json.baseline.is_null()) {
+      summary.set("baseline", std::move(json.baseline));
     }
     telemetry::Json top = telemetry::Json::array();
     for (const auto& rv : core::top_k(bc, static_cast<std::size_t>(a.top))) {
