@@ -115,6 +115,9 @@ class DistEngine {
   /// grid. `prefix` names the engine's spans and counters.
   DistEngine(sim::Sim& sim, const graph::Graph& g, dist::Partition part,
              std::string prefix);
+  /// g_ may refer to the shell's own relabeled graph.
+  DistEngine(const DistEngine&) = delete;
+  DistEngine& operator=(const DistEngine&) = delete;
 
   /// Run batched BC on the shared driver, calling `batch` once per batch
   /// attempt. Sources and the returned λ are in the caller's original ids.
@@ -172,7 +175,6 @@ class DistEngine {
 
   /// The graph the engine computes on (relabeled when partitioned).
   const graph::Graph& graph() const { return g_; }
-  const dist::DistMatrix<graph::Weight>& adj() const { return adj_; }
   sim::Sim& sim() { return sim_; }
 
  private:

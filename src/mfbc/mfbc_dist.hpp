@@ -117,7 +117,6 @@ class DistMfbc {
   std::vector<double> run(const DistMfbcOptions& opts,
                           DistMfbcStats* stats = nullptr);
 
-  const dist::DistMatrix<Weight>& adj() const { return shell_.adj(); }
   sim::Sim& sim() { return shell_.sim(); }
 
  private:
