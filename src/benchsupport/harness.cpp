@@ -82,9 +82,9 @@ void fill_fault_outcome(CellResult& r, const sim::Sim& sim,
   r.spare_idle_seconds = sp.idle_seconds;
 }
 
-/// One measured cell on `Engine`, whatever the engine: `opts` carries the
-/// engine's own settings; batch size, sources and the session tuner are
-/// filled in here. Recorded in the session store under `kind`.
+/// One measured cell on `Engine`. `opts` carries the engine's own
+/// settings; batch size, sources and the session tuner are filled in here.
+/// The result is recorded in the session store under `kind`.
 template <typename Engine, typename Options>
 CellResult run_cell(const graph::Graph& g, const CellConfig& cfg,
                     Options opts, const char* kind) {

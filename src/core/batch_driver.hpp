@@ -77,9 +77,10 @@ struct BatchRunOptions {
   bool resume = false;
   /// Structural signature of the graph this run computes on
   /// (graph/mutate.hpp). When nonzero it is folded into the checkpoint's
-  /// shape signature, so a checkpoint written against one graph version can
-  /// never resume a run on another. 0 keeps pre-versioning checkpoints
-  /// resumable.
+  /// shape signature, so a checkpoint written against one graph can never
+  /// resume a run on another. Both engines set it whenever checkpoint_dir
+  /// is set (core/dist_engine.hpp); 0 leaves the graph out of the
+  /// signature.
   std::uint64_t graph_sig = 0;
   /// When set, receives one λ-delta vector per batch (resized to the batch
   /// count; each entry length n): exactly the scratch vector the driver

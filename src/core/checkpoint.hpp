@@ -15,7 +15,8 @@
 //   13      8                 u64 n            (vertex count)
 //   21      8                 u64 batches_done (complete batches in λ)
 //   29      8                 u64 source_sig   (FNV-1a over n, batch size,
-//                                               and the resolved source list)
+//                                               the resolved source list and
+//                                               the graph's signature)
 //   37      8                 u64 lambda_count (== n)
 //   45      8·lambda_count    λ doubles, raw bit patterns
 //   ...     8                 u64 FNV-1a checksum over all preceding bytes
@@ -54,8 +55,8 @@ std::uint64_t fnv1a(const void* data, std::size_t bytes,
 /// resolved source list and — when nonzero — the graph's structural
 /// signature (graph/mutate.hpp). A checkpoint from a different graph
 /// version, batching, or source set must never resume a run it does not
-/// describe. graph_sig = 0 (the default) reproduces the pre-versioning
-/// signature, so old checkpoints stay resumable.
+/// describe. graph_sig = 0 (the default) leaves the graph out; the engines
+/// always pass the signature of the graph they compute on.
 std::uint64_t source_signature(graph::vid_t n, graph::vid_t batch_size,
                                const std::vector<graph::vid_t>& sources,
                                std::uint64_t graph_sig = 0);

@@ -1,6 +1,7 @@
-// The async schedule engine (sim/async.hpp + dist/pipeline.hpp): overlap
-// windows are a pure accounting credit, so every test here checks two sides
-// of the same contract — the data path (results, W, S, fault schedules) is
+// The async schedule engine (sim/async.hpp + the async schedule of
+// detail::spgemm_2d in dist/spgemm_dist.hpp): overlap windows are a pure
+// accounting credit, so every test here checks two sides of the same
+// contract — the data path (results, W, S, fault schedules) is
 // bit-identical between sync and async schedules, and the charged cost of an
 // async schedule is componentwise never above its synchronous twin.
 #include <gtest/gtest.h>

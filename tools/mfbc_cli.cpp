@@ -478,6 +478,8 @@ struct BcJson {
   telemetry::Json baseline;  ///< combblas engine summary
 };
 
+/// What run_simulated_bc hands back: centrality, the engine's stats, and
+/// the process exit code.
 struct SimulatedBc {
   std::vector<double> bc;
   core::DistBcStats stats;
