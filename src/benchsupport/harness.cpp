@@ -82,6 +82,40 @@ void fill_fault_outcome(CellResult& r, const sim::Sim& sim,
   r.spare_idle_seconds = sp.idle_seconds;
 }
 
+}  // namespace
+
+void apply_fault_flags(const BenchArgs& args, CellConfig& cfg) {
+  cfg.fault_spec = args.faults;
+  cfg.fault_seed = args.fault_seed;
+}
+
+tune::Tuner* session_tuner() { return session_tuner_slot().get(); }
+
+void init_session_tuner(const BenchArgs& args) {
+  session_tuner_slot().reset();
+  session_tuner_path() = args.tune_profile;
+  if (args.tune_profile.empty()) return;
+  // Missing or invalid profiles degrade to an uncalibrated, empty-cache
+  // tuner (try_load_profile already warned); the run still adapts online
+  // and save_session_tuner writes what it learned to the same path.
+  tune::Profile profile;
+  profile.machine = sim::MachineModel::blue_waters();
+  if (auto loaded =
+          tune::try_load_profile(args.tune_profile, profile.machine)) {
+    profile = std::move(*loaded);
+  }
+  session_tuner_slot() =
+      std::make_unique<tune::Tuner>(std::move(profile), tune::TunerOptions{});
+}
+
+void save_session_tuner() {
+  if (session_tuner_slot() == nullptr || session_tuner_path().empty()) return;
+  session_tuner_slot()->save(session_tuner_path());
+  std::printf("[tune] wrote %s\n", session_tuner_path().c_str());
+}
+
+namespace {
+
 /// One measured cell on `Engine`. `opts` carries the engine's own
 /// settings; batch size, sources and the session tuner are filled in here.
 /// The result is recorded in the session store under `kind`.
@@ -135,36 +169,6 @@ CellResult run_cell(const graph::Graph& g, const CellConfig& cfg,
 }
 
 }  // namespace
-
-void apply_fault_flags(const BenchArgs& args, CellConfig& cfg) {
-  cfg.fault_spec = args.faults;
-  cfg.fault_seed = args.fault_seed;
-}
-
-tune::Tuner* session_tuner() { return session_tuner_slot().get(); }
-
-void init_session_tuner(const BenchArgs& args) {
-  session_tuner_slot().reset();
-  session_tuner_path() = args.tune_profile;
-  if (args.tune_profile.empty()) return;
-  // Missing or invalid profiles degrade to an uncalibrated, empty-cache
-  // tuner (try_load_profile already warned); the run still adapts online
-  // and save_session_tuner writes what it learned to the same path.
-  tune::Profile profile;
-  profile.machine = sim::MachineModel::blue_waters();
-  if (auto loaded =
-          tune::try_load_profile(args.tune_profile, profile.machine)) {
-    profile = std::move(*loaded);
-  }
-  session_tuner_slot() =
-      std::make_unique<tune::Tuner>(std::move(profile), tune::TunerOptions{});
-}
-
-void save_session_tuner() {
-  if (session_tuner_slot() == nullptr || session_tuner_path().empty()) return;
-  session_tuner_slot()->save(session_tuner_path());
-  std::printf("[tune] wrote %s\n", session_tuner_path().c_str());
-}
 
 CellResult run_mfbc_cell(const graph::Graph& g, const CellConfig& cfg) {
   core::DistMfbcOptions opts;
