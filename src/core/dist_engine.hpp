@@ -1,8 +1,8 @@
 // The engine shell: the scaffolding both distributed BC engines share.
 //
 // core::DistMfbc and baseline::CombBlasBc differ only on algorithm axes
-// (DESIGN.md §2): the BFS primitive, the plan space, weighted graphs. Every
-// thing around their per-batch algorithm is written once, here:
+// (DESIGN.md §2): the BFS primitive, the plan space, weighted graphs.
+// Everything around their per-batch algorithm is written once, here:
 //   * ingest — partition relabeling, A and then Aᵀ scattered onto the
 //     near-square base grid, the resident-words notes, dist.imbalance.nnz;
 //   * run() wiring — the tuner observer, the recovery hooks and the
