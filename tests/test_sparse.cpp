@@ -97,6 +97,32 @@ TEST(Csr, FromCooAndRoundTrip) {
   EXPECT_EQ(a, back);
 }
 
+TEST(Csr, FromSortedCooStillDropsIdentity) {
+  Coo<double> coo(3, 4);
+  coo.push(0, 1, 1.0);
+  coo.push(1, 0, 0.0);  // the SumMonoid identity, already in row-major order
+  coo.push(1, 3, 2.0);
+  coo.push(2, 2, 3.0);
+  auto a = Csr<double>::from_coo<SumMonoid>(std::move(coo));
+  EXPECT_EQ(a.nnz(), 3);
+  ASSERT_EQ(a.row_nnz(1), 1);
+  EXPECT_EQ(a.row_cols(1)[0], 3);
+  EXPECT_EQ(a.row_vals(1)[0], 2.0);
+}
+
+TEST(Csr, FromSortedCooStillMergesDuplicates) {
+  Coo<double> coo(3, 4);
+  coo.push(0, 1, 1.0);
+  coo.push(1, 2, 2.0);
+  coo.push(1, 2, 3.0);  // sorted, but not strictly: merges with the entry above
+  coo.push(2, 0, 4.0);
+  auto a = Csr<double>::from_coo<SumMonoid>(std::move(coo));
+  EXPECT_EQ(a.nnz(), 3);
+  ASSERT_EQ(a.row_nnz(1), 1);
+  EXPECT_EQ(a.row_cols(1)[0], 2);
+  EXPECT_EQ(a.row_vals(1)[0], 5.0);
+}
+
 TEST(Csr, EmptyMatrix) {
   Csr<double> a(3, 7);
   EXPECT_EQ(a.nnz(), 0);
