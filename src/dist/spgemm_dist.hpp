@@ -18,6 +18,7 @@
 #pragma once
 
 #include <algorithm>
+#include <iterator>
 #include <numeric>
 #include <optional>
 #include <vector>
@@ -179,64 +180,15 @@ inline Homes homes_2d(Variant2D v2, int rank0, int p2, int p3, Range rm,
 /// with a single all-to-all charge. Sources must tile disjoint regions.
 template <algebra::Monoid M, typename T>
 DistMatrix<T> merge_to(sim::Sim& sim, vid_t nrows, vid_t ncols,
-                       const std::vector<DistMatrix<T>>& parts,
-                       Layout target) {
+                       std::vector<DistMatrix<T>> parts, Layout target) {
   // Fast path: a single part already on the target layout.
-  if (parts.size() == 1 && parts[0].layout() == target) return parts[0];
-  DistMatrix<T> out(nrows, ncols, target);
-  std::vector<Coo<T>> bins;
-  bins.reserve(static_cast<std::size_t>(target.nranks()));
-  for (int i = 0; i < target.pr; ++i) {
-    for (int j = 0; j < target.pc; ++j) {
-      bins.emplace_back(target.block_rows(i, j).size(), ncols);
-    }
+  if (parts.size() == 1 && parts[0].layout() == target) {
+    return std::move(parts[0]);
   }
-  std::vector<double> send_words(static_cast<std::size_t>(sim.nranks()), 0.0);
-  std::vector<int> group;
-  for (const auto& part : parts) {
-    const Layout& sl = part.layout();
-    for (int r : sl.ranks()) group.push_back(r);
-    for (int i = 0; i < sl.pr; ++i) {
-      for (int j = 0; j < sl.pc; ++j) {
-        const Range rr = sl.block_rows(i, j);
-        const auto& blk = part.block(i, j);
-        const int src_rank = sl.rank_at(i, j);
-        for (vid_t r = 0; r < blk.nrows(); ++r) {
-          const vid_t gr = rr.lo + r;
-          if (!target.rows.contains(gr)) continue;
-          auto cols = blk.row_cols(r);
-          auto vals = blk.row_vals(r);
-          for (std::size_t x = 0; x < cols.size(); ++x) {
-            if (!target.cols.contains(cols[x])) continue;
-            auto [ti, tj] = target.owner(gr, cols[x]);
-            bins[static_cast<std::size_t>(ti * target.pc + tj)].push(
-                gr - target.block_rows(ti, tj).lo, cols[x], vals[x]);
-            if (target.rank_at(ti, tj) != src_rank) {
-              send_words[static_cast<std::size_t>(src_rank)] +=
-                  sim::sparse_entry_words<T>();
-            }
-          }
-        }
-      }
-    }
-  }
-  double max_words = 0;
-  for (std::size_t b = 0; b < bins.size(); ++b) {
-    max_words = std::max(max_words, static_cast<double>(bins[b].nnz()) *
-                                        sim::sparse_entry_words<T>());
-  }
-  for (double w : send_words) max_words = std::max(max_words, w);
-  for (int r : target.ranks()) group.push_back(r);
-  std::sort(group.begin(), group.end());
-  group.erase(std::unique(group.begin(), group.end()), group.end());
-  if (max_words > 0 || group.size() > 1) sim.charge_alltoall(group, max_words);
-  for (int i = 0; i < target.pr; ++i) {
-    for (int j = 0; j < target.pc; ++j) {
-      out.block(i, j) = Csr<T>::template from_coo<M>(
-          std::move(bins[static_cast<std::size_t>(i * target.pc + j)]));
-    }
-  }
-  return out;
+  std::vector<Source<T>> sources;
+  for (const auto& part : parts) add_sources(part, sources);
+  return DistMatrix<T>(nrows, ncols, target,
+                       move_blocks<M>(sim, sources, tiles_of(target), ncols));
 }
 
 /// Split one distribution into several target layouts (disjoint regions)
@@ -244,73 +196,22 @@ DistMatrix<T> merge_to(sim::Sim& sim, vid_t nrows, vid_t ncols,
 template <algebra::Monoid M, typename T>
 std::vector<DistMatrix<T>> split_to(sim::Sim& sim, const DistMatrix<T>& src,
                                     const std::vector<Layout>& targets) {
+  std::vector<Source<T>> sources;
+  add_sources(src, sources);
+  std::vector<Tile> tiles;
+  for (const Layout& tl : targets) {
+    for (const Tile& t : tiles_of(tl)) tiles.push_back(t);
+  }
+  std::vector<Csr<T>> blocks = move_blocks<M>(sim, sources, tiles, src.ncols());
   std::vector<DistMatrix<T>> out;
   out.reserve(targets.size());
-  struct Bin {
-    std::vector<Coo<T>> blocks;
-  };
-  std::vector<Bin> bins(targets.size());
-  for (std::size_t t = 0; t < targets.size(); ++t) {
-    const Layout& tl = targets[t];
-    bins[t].blocks.reserve(static_cast<std::size_t>(tl.nranks()));
-    for (int i = 0; i < tl.pr; ++i) {
-      for (int j = 0; j < tl.pc; ++j) {
-        bins[t].blocks.emplace_back(tl.block_rows(i, j).size(), src.ncols());
-      }
-    }
-  }
-  std::vector<double> send_words(static_cast<std::size_t>(sim.nranks()), 0.0);
-  const Layout& sl = src.layout();
-  for (int i = 0; i < sl.pr; ++i) {
-    for (int j = 0; j < sl.pc; ++j) {
-      const Range rr = sl.block_rows(i, j);
-      const auto& blk = src.block(i, j);
-      const int src_rank = sl.rank_at(i, j);
-      for (vid_t r = 0; r < blk.nrows(); ++r) {
-        const vid_t gr = rr.lo + r;
-        auto cols = blk.row_cols(r);
-        auto vals = blk.row_vals(r);
-        for (std::size_t x = 0; x < cols.size(); ++x) {
-          for (std::size_t t = 0; t < targets.size(); ++t) {
-            const Layout& tl = targets[t];
-            if (!tl.rows.contains(gr) || !tl.cols.contains(cols[x])) continue;
-            auto [ti, tj] = tl.owner(gr, cols[x]);
-            bins[t].blocks[static_cast<std::size_t>(ti * tl.pc + tj)].push(
-                gr - tl.block_rows(ti, tj).lo, cols[x], vals[x]);
-            if (tl.rank_at(ti, tj) != src_rank) {
-              send_words[static_cast<std::size_t>(src_rank)] +=
-                  sim::sparse_entry_words<T>();
-            }
-            break;  // regions are disjoint: first match wins
-          }
-        }
-      }
-    }
-  }
-  std::vector<int> group = sl.ranks();
-  double max_words = 0;
-  for (double w : send_words) max_words = std::max(max_words, w);
-  for (std::size_t t = 0; t < targets.size(); ++t) {
-    const Layout& tl = targets[t];
-    for (int r : tl.ranks()) group.push_back(r);
-    for (const auto& bin : bins[t].blocks) {
-      max_words = std::max(max_words, static_cast<double>(bin.nnz()) *
-                                          sim::sparse_entry_words<T>());
-    }
-  }
-  std::sort(group.begin(), group.end());
-  group.erase(std::unique(group.begin(), group.end()), group.end());
-  if (group.size() > 1) sim.charge_alltoall(group, max_words);
-  for (std::size_t t = 0; t < targets.size(); ++t) {
-    const Layout& tl = targets[t];
-    DistMatrix<T> dm(src.nrows(), src.ncols(), tl);
-    for (int i = 0; i < tl.pr; ++i) {
-      for (int j = 0; j < tl.pc; ++j) {
-        dm.block(i, j) = Csr<T>::template from_coo<M>(std::move(
-            bins[t].blocks[static_cast<std::size_t>(i * tl.pc + j)]));
-      }
-    }
-    out.push_back(std::move(dm));
+  auto next = blocks.begin();
+  for (const Layout& tl : targets) {
+    const auto end = next + tl.nranks();
+    out.emplace_back(src.nrows(), src.ncols(), tl,
+                     std::vector<Csr<T>>(std::make_move_iterator(next),
+                                         std::make_move_iterator(end)));
+    next = end;
   }
   return out;
 }
@@ -658,9 +559,9 @@ class HomeCache {
     return nullptr;
   }
 
-  const DistMatrix<T>& insert(Layout l, DistMatrix<T> m) {
+  /// Pointers from find() stay valid until the next insert or clear.
+  void insert(Layout l, DistMatrix<T> m) {
     entries_.emplace_back(std::move(l), std::move(m));
-    return entries_.back().second;
   }
 
   void clear() { entries_.clear(); }
@@ -749,8 +650,6 @@ DistMatrix<typename M::value_type> spgemm(sim::Sim& sim, const Plan& plan,
 
   // Per-layer operand regions and home layouts.
   std::vector<Layout> a_homes, b_homes;
-  std::vector<DistMatrix<TA>> as;
-  std::vector<DistMatrix<TB>> bs;
   a_homes.reserve(static_cast<std::size_t>(p1));
   b_homes.reserve(static_cast<std::size_t>(p1));
   for (int l = 0; l < p1; ++l) {
@@ -767,9 +666,17 @@ DistMatrix<typename M::value_type> spgemm(sim::Sim& sim, const Plan& plan,
     b_homes.push_back(h.b);
   }
 
+  // Per-layer operands are read through pointers: into the fresh copies
+  // mapped here, into the HomeCache, or at `a` itself when it already sits
+  // on its only home.
+  std::vector<DistMatrix<TA>> a_fresh;
+  std::vector<DistMatrix<TB>> b_fresh;
+  std::vector<const DistMatrix<TA>*> as;
+  std::vector<const DistMatrix<TB>*> bs;
+
   // B-side mapping, with optional amortization through the cache: if every
   // per-layer copy of B for this plan is cached, reuse them for free;
-  // otherwise map (charging) and populate the cache.
+  // otherwise map (charging) and move the copies into the cache.
   auto map_b = [&]() {
     if (b_cache != nullptr) {
       bool all_cached = true;
@@ -780,33 +687,43 @@ DistMatrix<typename M::value_type> spgemm(sim::Sim& sim, const Plan& plan,
         }
       }
       if (all_cached) {
-        for (const Layout& h : b_homes) bs.push_back(*b_cache->find(h));
+        for (const Layout& h : b_homes) bs.push_back(b_cache->find(h));
         return;
       }
     }
     if (p1 == 1) {
-      bs.push_back(redistribute<KeepFirst<TB>>(sim, b, b_homes[0]));
+      b_fresh.push_back(redistribute<KeepFirst<TB>>(sim, b, b_homes[0]));
     } else if (plan.v1 == Variant1D::kB) {
-      bs = detail::replicate_layers(
+      b_fresh = detail::replicate_layers(
           sim, redistribute<KeepFirst<TB>>(sim, b, b_homes[0]), b_homes);
     } else {
-      bs = detail::split_to<KeepFirst<TB>>(sim, b, b_homes);
+      b_fresh = detail::split_to<KeepFirst<TB>>(sim, b, b_homes);
     }
-    if (b_cache != nullptr) {
-      for (std::size_t l = 0; l < b_homes.size(); ++l) {
-        b_cache->insert(b_homes[l], bs[l]);
-      }
+    if (b_cache == nullptr) {
+      for (const auto& m : b_fresh) bs.push_back(&m);
+      return;
     }
+    for (std::size_t l = 0; l < b_homes.size(); ++l) {
+      b_cache->insert(b_homes[l], std::move(b_fresh[l]));
+    }
+    // An insert may move the cache's entries, so look them up after the
+    // last one.
+    for (const Layout& h : b_homes) bs.push_back(b_cache->find(h));
   };
   map_b();
 
-  if (p1 == 1) {
-    as.push_back(redistribute<KeepFirst<TA>>(sim, a, a_homes[0]));
-  } else if (plan.v1 == Variant1D::kA) {
-    as = detail::replicate_layers(
-        sim, redistribute<KeepFirst<TA>>(sim, a, a_homes[0]), a_homes);
-  } else {  // kB and kC both split A
-    as = detail::split_to<KeepFirst<TA>>(sim, a, a_homes);
+  if (p1 == 1 && a.layout() == a_homes[0]) {
+    as.push_back(&a);  // already home: free
+  } else {
+    if (p1 == 1) {
+      a_fresh.push_back(redistribute<KeepFirst<TA>>(sim, a, a_homes[0]));
+    } else if (plan.v1 == Variant1D::kA) {
+      a_fresh = detail::replicate_layers(
+          sim, redistribute<KeepFirst<TA>>(sim, a, a_homes[0]), a_homes);
+    } else {  // kB and kC both split A
+      a_fresh = detail::split_to<KeepFirst<TA>>(sim, a, a_homes);
+    }
+    for (const auto& m : a_fresh) as.push_back(&m);
   }
 
   // Layers are independent rank groups; run them concurrently, each charging
@@ -820,7 +737,7 @@ DistMatrix<typename M::value_type> spgemm(sim::Sim& sim, const Plan& plan,
   support::parallel_for_replay(
       cs.size(),
       [&](std::size_t l) {
-        cs[l] = detail::spgemm_2d<M>(layer_logs[l], plan, as[l], bs[l], f,
+        cs[l] = detail::spgemm_2d<M>(layer_logs[l], plan, *as[l], *bs[l], f,
                                      st != nullptr ? &layer_stats[l] : nullptr);
       },
       [&](std::size_t l) {
@@ -833,15 +750,6 @@ DistMatrix<typename M::value_type> spgemm(sim::Sim& sim, const Plan& plan,
   if (p1 > 1 && plan.v1 == Variant1D::kC) {
     // Sparse-reduce the full-shape partial Cs across layers onto layer 0,
     // then deliver.
-    DistMatrix<TC> c0 = cs[0];
-    for (int l = 1; l < p1; ++l) {
-      for (int i = 0; i < p2; ++i) {
-        for (int j = 0; j < p3; ++j) {
-          c0.block(i, j) = sparse::ewise_union<M>(
-              c0.block(i, j), cs[static_cast<std::size_t>(l)].block(i, j));
-        }
-      }
-    }
     for (int i = 0; i < p2; ++i) {
       for (int j = 0; j < p3; ++j) {
         std::vector<int> group;
@@ -849,16 +757,19 @@ DistMatrix<typename M::value_type> spgemm(sim::Sim& sim, const Plan& plan,
         for (int l = 0; l < p1; ++l) {
           group.push_back(cs[static_cast<std::size_t>(l)].layout().rank_at(i, j));
         }
-        sim.charge_reduce(group, static_cast<double>(c0.block(i, j).nnz()) *
+        Csr<TC>& c0 = cs[0].block(i, j);
+        for (int l = 1; l < p1; ++l) {
+          c0 = sparse::ewise_union<M>(
+              c0, cs[static_cast<std::size_t>(l)].block(i, j));
+        }
+        sim.charge_reduce(group, static_cast<double>(c0.nnz()) *
                                      sim::sparse_entry_words<TC>());
       }
     }
-    std::vector<DistMatrix<TC>> one{std::move(c0)};
-    return tele_finish(
-        detail::merge_to<M>(sim, a.nrows(), b.ncols(), one, out_layout));
+    cs.resize(1);
   }
-  return tele_finish(
-      detail::merge_to<M>(sim, a.nrows(), b.ncols(), cs, out_layout));
+  return tele_finish(detail::merge_to<M>(sim, a.nrows(), b.ncols(),
+                                         std::move(cs), out_layout));
 }
 
 /// Convenience overload: autotune the plan (§6.2) from the §5.2 estimates,

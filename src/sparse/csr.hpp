@@ -103,7 +103,7 @@ class Csr {
            rowptr_[static_cast<std::size_t>(r)];
   }
 
-  /// Convert back to COO (used by redistribution and I/O).
+  /// Convert back to COO.
   Coo<T> to_coo() const {
     Coo<T> out(nrows_, ncols_);
     out.reserve(nnz());
