@@ -55,7 +55,9 @@ class Coo {
   /// The sort is stable, so duplicates combine in insertion order; large
   /// inputs sort chunk-parallel (stable chunk sorts + stable pairwise
   /// merges), which yields the exact permutation of a global stable sort
-  /// and therefore bit-identical output at every thread count.
+  /// and therefore bit-identical output at every thread count. Entries
+  /// pushed in row-major order (the frontier builders push them so) are
+  /// their own stable sort, so one ordered pass skips it.
   template <algebra::Monoid M>
   void sort_and_combine() {
     const auto less = [](const CooEntry<T>& a, const CooEntry<T>& b) {
@@ -63,8 +65,10 @@ class Coo {
     };
     const std::size_t n = entries_.size();
     const int nt = support::num_threads();
-    if (support::ThreadPool::in_parallel_region() || nt <= 1 ||
-        n < kParallelSortThreshold) {
+    if (std::is_sorted(entries_.begin(), entries_.end(), less)) {
+      // Already in order: only the combine pass below runs.
+    } else if (support::ThreadPool::in_parallel_region() || nt <= 1 ||
+               n < kParallelSortThreshold) {
       std::stable_sort(entries_.begin(), entries_.end(), less);
     } else {
       const std::size_t chunks = static_cast<std::size_t>(nt);
