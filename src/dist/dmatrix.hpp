@@ -115,49 +115,54 @@ Assembled<T> assemble(const std::vector<Source<T>>& sources,
                                               : a.rows.lo < b.rows.lo;
               });
     slot.taken.assign(slot.from.size(), 0);
-    // Calls visit(local row, k, first, last) for the run [first, last) of
-    // source from[k]'s entries that lands in this block, in output order.
-    auto for_each_run = [&](auto&& visit) {
-      for (vid_t r = tt.rows.lo; r < tt.rows.hi; ++r) {
-        for (std::size_t k = 0; k < slot.from.size(); ++k) {
-          const Source<T>& src = sources[slot.from[k]];
-          if (!src.tile.rows.contains(r)) continue;
-          const auto rp = src.csr->rowptr();
-          const auto lr = static_cast<std::size_t>(r - src.tile.rows.lo);
-          nnz_t first = rp[lr];
-          nnz_t last = rp[lr + 1];
-          if (first == last) continue;
-          if (src.tile.cols.lo < tt.cols.lo || src.tile.cols.hi > tt.cols.hi) {
-            const vid_t* col = src.csr->col().data();
-            first = std::lower_bound(col + first, col + last, tt.cols.lo) - col;
-            last = std::lower_bound(col + first, col + last, tt.cols.hi) - col;
-          }
-          if (first < last) visit(r - tt.rows.lo, k, first, last);
+    // Calls visit(k, first, last) for each run [first, last) of source
+    // from[k]'s entries in global row r that lands in this block, in
+    // column order.
+    auto row_runs = [&](vid_t r, auto&& visit) {
+      for (std::size_t k = 0; k < slot.from.size(); ++k) {
+        const Source<T>& src = sources[slot.from[k]];
+        if (!src.tile.rows.contains(r)) continue;
+        const auto rp = src.csr->rowptr();
+        const auto lr = static_cast<std::size_t>(r - src.tile.rows.lo);
+        nnz_t first = rp[lr];
+        nnz_t last = rp[lr + 1];
+        if (first == last) continue;
+        if (src.tile.cols.lo < tt.cols.lo || src.tile.cols.hi > tt.cols.hi) {
+          const vid_t* col = src.csr->col().data();
+          if (col[first] >= tt.cols.hi || col[last - 1] < tt.cols.lo) continue;
+          first = std::lower_bound(col + first, col + last, tt.cols.lo) - col;
+          last = std::lower_bound(col + first, col + last, tt.cols.hi) - col;
         }
+        if (first < last) visit(k, first, last);
       }
     };
     std::vector<nnz_t> rowptr(static_cast<std::size_t>(tt.rows.size()) + 1, 0);
-    for_each_run([&](vid_t lr, std::size_t k, nnz_t first, nnz_t last) {
-      slot.taken[k] += last - first;
-      const T* val = sources[slot.from[k]].csr->val().data();
-      nnz_t kept = 0;
-      for (nnz_t x = first; x < last; ++x) kept += !M::is_identity(val[x]);
-      rowptr[static_cast<std::size_t>(lr) + 1] += kept;
-    });
+    for (vid_t r = tt.rows.lo; r < tt.rows.hi; ++r) {
+      nnz_t& kept = rowptr[static_cast<std::size_t>(r - tt.rows.lo) + 1];
+      row_runs(r, [&](std::size_t k, nnz_t first, nnz_t last) {
+        slot.taken[k] += last - first;
+        const T* val = sources[slot.from[k]].csr->val().data();
+        for (nnz_t x = first; x < last; ++x) kept += !M::is_identity(val[x]);
+      });
+    }
     for (std::size_t r = 1; r < rowptr.size(); ++r) rowptr[r] += rowptr[r - 1];
     std::vector<vid_t> col(static_cast<std::size_t>(rowptr.back()));
     std::vector<T> val(static_cast<std::size_t>(rowptr.back()));
     std::size_t at = 0;
-    for_each_run([&](vid_t, std::size_t k, nnz_t first, nnz_t last) {
-      const vid_t* from_col = sources[slot.from[k]].csr->col().data();
-      const T* from_val = sources[slot.from[k]].csr->val().data();
-      for (nnz_t x = first; x < last; ++x) {
-        if (M::is_identity(from_val[x])) continue;
-        col[at] = from_col[x];
-        val[at] = from_val[x];
-        ++at;
-      }
-    });
+    for (vid_t r = tt.rows.lo; r < tt.rows.hi; ++r) {
+      const auto lr = static_cast<std::size_t>(r - tt.rows.lo);
+      if (rowptr[lr] == rowptr[lr + 1]) continue;
+      row_runs(r, [&](std::size_t k, nnz_t first, nnz_t last) {
+        const vid_t* from_col = sources[slot.from[k]].csr->col().data();
+        const T* from_val = sources[slot.from[k]].csr->val().data();
+        for (nnz_t x = first; x < last; ++x) {
+          if (M::is_identity(from_val[x])) continue;
+          col[at] = from_col[x];
+          val[at] = from_val[x];
+          ++at;
+        }
+      });
+    }
     out.blocks[t] = Csr<T>(tt.rows.size(), ncols, std::move(rowptr),
                            std::move(col), std::move(val));
   };
