@@ -714,17 +714,15 @@ DistMatrix<typename M::value_type> spgemm(sim::Sim& sim, const Plan& plan,
 
   if (p1 == 1 && a.layout() == a_homes[0]) {
     as.push_back(&a);  // already home: free
-  } else {
-    if (p1 == 1) {
-      a_fresh.push_back(redistribute<KeepFirst<TA>>(sim, a, a_homes[0]));
-    } else if (plan.v1 == Variant1D::kA) {
-      a_fresh = detail::replicate_layers(
-          sim, redistribute<KeepFirst<TA>>(sim, a, a_homes[0]), a_homes);
-    } else {  // kB and kC both split A
-      a_fresh = detail::split_to<KeepFirst<TA>>(sim, a, a_homes);
-    }
-    for (const auto& m : a_fresh) as.push_back(&m);
+  } else if (p1 == 1) {
+    a_fresh.push_back(redistribute<KeepFirst<TA>>(sim, a, a_homes[0]));
+  } else if (plan.v1 == Variant1D::kA) {
+    a_fresh = detail::replicate_layers(
+        sim, redistribute<KeepFirst<TA>>(sim, a, a_homes[0]), a_homes);
+  } else {  // kB and kC both split A
+    a_fresh = detail::split_to<KeepFirst<TA>>(sim, a, a_homes);
   }
+  for (const auto& m : a_fresh) as.push_back(&m);
 
   // Layers are independent rank groups; run them concurrently, each charging
   // into a private ChargeLog replayed into the Sim in layer order at the
