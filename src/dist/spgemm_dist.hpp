@@ -216,113 +216,156 @@ std::vector<DistMatrix<T>> split_to(sim::Sim& sim, const DistMatrix<T>& src,
   return out;
 }
 
-/// Replicate a layer-resident matrix onto sibling layers: one broadcast per
-/// grid position across the p1 same-position ranks (§5.2.3's 1D replication
-/// of X given from a p2×p3 distribution).
+/// Charge replicating a layer-resident matrix onto sibling layers: one
+/// broadcast per grid position across the p1 same-position ranks (§5.2.3's
+/// 1D replication of X given from a p2×p3 distribution).
 template <typename T>
-std::vector<DistMatrix<T>> replicate_layers(sim::Sim& sim,
-                                            const DistMatrix<T>& layer0,
-                                            const std::vector<Layout>& layouts) {
-  std::vector<DistMatrix<T>> out;
-  out.reserve(layouts.size());
+void charge_replication(sim::Sim& sim, const DistMatrix<T>& layer0,
+                        const std::vector<Layout>& layouts) {
   const Layout& l0 = layer0.layout();
   for (const Layout& lt : layouts) {
     MFBC_CHECK(lt.pr == l0.pr && lt.pc == l0.pc && lt.rows == l0.rows &&
                    lt.cols == l0.cols && lt.transposed == l0.transposed,
                "replica layouts must match layer 0 up to rank offset");
+  }
+  if (layouts.size() < 2) return;
+  for (int i = 0; i < l0.pr; ++i) {
+    for (int j = 0; j < l0.pc; ++j) {
+      std::vector<int> group;
+      group.reserve(layouts.size());
+      for (const Layout& lt : layouts) group.push_back(lt.rank_at(i, j));
+      sim.charge_bcast(group, static_cast<double>(layer0.block(i, j).nnz()) *
+                                  sim::sparse_entry_words<T>());
+    }
+  }
+}
+
+/// Layer 0's matrix on every layer's layout, charged as charge_replication:
+/// the per-layer B homes a HomeCache keeps. Layer 0's entry is `layer0`
+/// itself; the others are copies.
+template <typename T>
+std::vector<DistMatrix<T>> replicate_layers(sim::Sim& sim, DistMatrix<T> layer0,
+                                            const std::vector<Layout>& layouts) {
+  charge_replication(sim, layer0, layouts);
+  std::vector<DistMatrix<T>> out;
+  out.reserve(layouts.size());
+  for (std::size_t l = 1; l < layouts.size(); ++l) {
+    const Layout& lt = layouts[l];
     DistMatrix<T> copy(layer0.nrows(), layer0.ncols(), lt);
     for (int i = 0; i < lt.pr; ++i) {
       for (int j = 0; j < lt.pc; ++j) copy.block(i, j) = layer0.block(i, j);
     }
     out.push_back(std::move(copy));
   }
-  if (layouts.size() > 1) {
-    for (int i = 0; i < l0.pr; ++i) {
-      for (int j = 0; j < l0.pc; ++j) {
-        std::vector<int> group;
-        group.reserve(layouts.size());
-        for (const Layout& lt : layouts) group.push_back(lt.rank_at(i, j));
-        sim.charge_bcast(group, static_cast<double>(layer0.block(i, j).nnz()) *
-                                    sim::sparse_entry_words<T>());
-      }
-    }
-  }
+  out.insert(out.begin(), std::move(layer0));
   return out;
 }
 
-/// One layer's 2D multiply: operands must already sit on homes_2d layouts.
-/// Only plan.v2 and the schedule fields of `plan` are read.
+/// Entries of `m` in global rows `r` (block (i,j) of its layout).
+template <typename T>
+nnz_t nnz_in_rows(const DistMatrix<T>& m, int i, int j, Range r) {
+  const auto rp = m.block(i, j).rowptr();
+  const vid_t lo = m.layout().block_rows(i, j).lo;
+  return rp[static_cast<std::size_t>(r.hi - lo)] -
+         rp[static_cast<std::size_t>(r.lo - lo)];
+}
+
+/// Entries of block (i,j) of `m` in global columns `r`.
+template <typename T>
+nnz_t nnz_in_cols(const DistMatrix<T>& m, int i, int j, Range r) {
+  const Csr<T>& blk = m.block(i, j);
+  if (m.layout().block_cols(i, j) == r) return blk.nnz();
+  nnz_t n = 0;
+  for (vid_t x = 0; x < blk.nrows(); ++x) {
+    const auto [first, last] = blk.row_run(x, r.lo, r.hi);
+    n += last - first;
+  }
+  return n;
+}
+
+/// One layer's 2D multiply on the p2×p3 grid of ranks starting at `rank0`.
+/// The operands must sit on homes_2d layouts of that grid up to their rank
+/// offset — the layers of a 3D-A plan all read layer 0's copy of A. Only
+/// plan.v2 and the schedule fields of `plan` are read.
+///
+/// Each variant cuts one dimension into lcm(p2,p3) steps: AB the inner k,
+/// AC the rows of A and C, BC the columns of B and C. The driver computes
+/// first and charges after. One pool region builds every C block from its
+/// chain of block products with sparse::spgemm_fold, in the order the
+/// steps fold it — AB: the steps in order; AC: per step's rows, the grid
+/// column's i-blocks; BC: per step's columns, the grid row's j-blocks — so
+/// no operand slice, partial product or re-union is ever built. The step
+/// loop then replays the charge sequence of the step-by-step schedule from
+/// the recorded counts: per step, its multiplies (elementary products plus
+/// the entries each fold touched) and the AC/BC line reduces, then the next
+/// step's slice broadcasts, whose payloads are the slices' entry counts.
 ///
 /// The outer 3D driver runs layers concurrently, handing each layer a
 /// private ChargeLog that it replays into the real Sim in layer order at the
-/// barrier. Within a layer the per-(i,j) block multiplies of each step run
-/// on the thread pool; charges and stats are deferred into per-index slots
-/// and replayed in the serial iteration order after each region, so ledger
-/// state and stats sums are bit-identical to the serial schedule.
+/// barrier, so ledger state and stats sums are bit-identical to the serial
+/// schedule.
 ///
 /// The schedule is a charge policy only: both schedules emit the same
 /// charge sequence — every collective and compute, with its group, payload
 /// and position — so outputs, fault schedules and ABFT checksums are
-/// bit-identical between them. Per active step the loop runs the step's
-/// multiplies, drops the step's slices, builds the next step's and charges
-/// their broadcasts. The sync schedule charges every broadcast plainly. The
-/// async schedule wraps each step's multiplies in an overlap window
-/// (sim/async.hpp), posts the first ceil(bcasts/tile) of the next step's
-/// broadcasts inside it as nonblocking collectives, and charges the rest
-/// plainly after the window closes; only the windows' overlap credits
-/// differ. Neither schedule holds two steps' slices at once.
+/// bit-identical between them. The sync schedule charges every broadcast
+/// plainly. The async schedule wraps each step's multiplies in an overlap
+/// window (sim/async.hpp), posts the first ceil(bcasts/tile) of the next
+/// step's broadcasts inside it as nonblocking collectives, and charges the
+/// rest plainly after the window closes; only the windows' overlap credits
+/// differ.
 template <algebra::Monoid M, typename TA, typename TB, typename F>
 DistMatrix<typename M::value_type> spgemm_2d(sim::ChargeLog& log,
-                                             const Plan& plan,
+                                             const Plan& plan, int rank0,
                                              const DistMatrix<TA>& a,
                                              const DistMatrix<TB>& b, F f,
                                              DistSpgemmStats* st) {
   using TC = typename M::value_type;
   const Variant2D v2 = plan.v2;
-  const Range rm = a.layout().rows;
-  const Range rk = a.layout().cols;
-  const Range rn = b.layout().cols;
-  MFBC_CHECK(b.layout().rows == rk, "2D spgemm inner region mismatch");
-  const int rank0 = a.layout().rank0;
-  const int p2 = a.layout().pr;
-  const int p3 = a.layout().pc;
-  MFBC_CHECK(b.layout().rank0 == rank0 && b.layout().pr == p2 &&
-                 b.layout().pc == p3,
-             "operands must share the layer grid");
+  const Layout& al = a.layout();
+  const Layout& bl = b.layout();
+  const Range rm = al.rows;
+  const Range rk = al.cols;
+  const Range rn = bl.cols;
+  MFBC_CHECK(bl.rows == rk, "2D spgemm inner region mismatch");
+  const int p2 = al.pr;
+  const int p3 = al.pc;
+  MFBC_CHECK(bl.pr == p2 && bl.pc == p3, "operands must share the layer grid");
   const Layout cl = Layout{rank0, p2, p3, rm, rn, false};
-  DistMatrix<TC> c(a.nrows(), b.ncols(), cl);
 
   // Multiplies charged while a window is open are tagged as overlapped
   // work; the ledger effect equals charge_compute either way.
   bool in_window = false;
-  auto charge_multiply = [&](int rank, const sparse::SpgemmStats& s,
-                             nnz_t union_touched) {
-    const double ops =
-        static_cast<double>(s.ops) + static_cast<double>(union_touched);
+  auto charge_multiply = [&](int rank, nnz_t ops, nnz_t touched) {
+    const double charged =
+        static_cast<double>(ops) + static_cast<double>(touched);
     if (in_window) {
-      log.overlap_compute(rank, ops);
+      log.overlap_compute(rank, charged);
     } else {
-      log.charge_compute(rank, ops);
+      log.charge_compute(rank, charged);
     }
     if (st != nullptr) {
-      st->total_ops += static_cast<double>(s.ops);
-      st->note_rank_ops(rank, static_cast<double>(s.ops));
+      st->total_ops += static_cast<double>(ops);
+      st->note_rank_ops(rank, static_cast<double>(ops));
     }
   };
 
   if (p2 * p3 == 1) {
     // Degenerate single-rank layer: one local Gustavson multiply.
     sparse::SpgemmStats s;
+    DistMatrix<TC> c(a.nrows(), b.ncols(), cl);
     c.block(0, 0) = sparse::spgemm<M>(a.block(0, 0), b.block(0, 0), f, &s,
                                       /*b_row_offset=*/rk.lo,
                                       &sparse::tls_spgemm_workspace<TC>());
-    charge_multiply(rank0, s, 0);
+    charge_multiply(rank0, s.ops, 0);
     return c;
   }
 
-  // Each variant cuts one dimension into lcm(p2,p3) steps: AB the inner k,
-  // AC the rows of A and C, BC the columns of B and C. Steps whose range is
-  // empty charge nothing and are skipped.
+  // Steps whose range is empty charge nothing and are skipped. A step's
+  // A blocks sit in grid column ja (AB: k, AC: m — A being transposed —
+  // split p3 ways) and its B blocks in grid row ib (AB: k, BC: n — B being
+  // transposed — split p2 ways); AC's C rows and BC's C columns follow the
+  // same split.
   const int steps = std::lcm(p2, p3);
   const Range split = v2 == Variant2D::kAB   ? rk
                       : v2 == Variant2D::kAC ? rm
@@ -331,59 +374,104 @@ DistMatrix<typename M::value_type> spgemm_2d(sim::ChargeLog& log,
   for (int step = 0; step < steps; ++step) {
     if (split_range(split, steps, step).size() > 0) active.push_back(step);
   }
-
-  // The current step's slices: A's along grid rows (AB, AC) and B's along
-  // grid columns (AB, BC). Slicing is pure per grid row or column.
-  std::vector<Csr<TA>> a_slice;
-  std::vector<Csr<TB>> b_slice;
-  auto build_slices = [&](int step) {
-    const Range r = split_range(split, steps, step);
-    if (v2 != Variant2D::kBC) {
-      // A's grid columns split the step dimension p3 ways (AB: k; AC: m,
-      // A being transposed).
-      const int ja = step / (steps / p3);
-      const Range a_rows = a.layout().block_rows(0, ja);
-      a_slice.resize(static_cast<std::size_t>(p2));
-      support::parallel_for(a_slice.size(), [&](std::size_t i) {
-        const auto& blk = a.block(static_cast<int>(i), ja);
-        a_slice[i] = v2 == Variant2D::kAB
-                         ? sparse::slice_cols(blk, r.lo, r.hi)
-                         : sparse::slice_rows(blk, r.lo - a_rows.lo,
-                                              r.hi - a_rows.lo);
-      });
+  if (active.empty()) return DistMatrix<TC>(a.nrows(), b.ncols(), cl);
+  auto step_range = [&](int step) { return split_range(split, steps, step); };
+  auto ja_of = [&](int step) { return step / (steps / p3); };
+  auto ib_of = [&](int step) { return step / (steps / p2); };
+  // AC folds a step into C's grid row ib_of(step), BC into C's grid column
+  // ja_of(step); first_seg[x] is the first link active[x] adds to that C
+  // block's chain (AB: every step adds one link to every block).
+  std::vector<std::size_t> first_seg(active.size());
+  {
+    std::vector<std::size_t> links(static_cast<std::size_t>(std::max(p2, p3)),
+                                    0);
+    for (std::size_t x = 0; x < active.size(); ++x) {
+      switch (v2) {
+        case Variant2D::kAB: first_seg[x] = x; break;
+        case Variant2D::kAC:
+          first_seg[x] = links[static_cast<std::size_t>(ib_of(active[x]))];
+          links[static_cast<std::size_t>(ib_of(active[x]))] +=
+              static_cast<std::size_t>(p2);
+          break;
+        case Variant2D::kBC:
+          first_seg[x] = links[static_cast<std::size_t>(ja_of(active[x]))];
+          links[static_cast<std::size_t>(ja_of(active[x]))] +=
+              static_cast<std::size_t>(p3);
+          break;
+      }
     }
-    if (v2 != Variant2D::kAC) {
-      // B's grid rows split the step dimension p2 ways (AB: k; BC: n, B
-      // being transposed).
-      const int ib = step / (steps / p2);
-      const Range b_rows = b.layout().block_rows(ib, 0);
-      b_slice.resize(static_cast<std::size_t>(p3));
-      support::parallel_for(b_slice.size(), [&](std::size_t j) {
-        const auto& blk = b.block(ib, static_cast<int>(j));
-        b_slice[j] = v2 == Variant2D::kAB
-                         ? sparse::slice_rows(blk, r.lo - b_rows.lo,
-                                              r.hi - b_rows.lo)
-                         : sparse::slice_cols(blk, r.lo, r.hi);
-      });
-    }
-  };
+  }
 
-  // Charge broadcasts [from, to) of the current slices, A's row broadcasts
-  // first, then B's column broadcasts; `post` issues them as nonblocking
+  using Segment = sparse::FoldSegment<TA, TB>;
+  std::vector<Csr<TC>> blocks(static_cast<std::size_t>(p2 * p3));
+  std::vector<std::vector<sparse::FoldCounts>> counts(blocks.size());
+  support::parallel_for(blocks.size(), [&](std::size_t t) {
+    const auto [i, j] = cl.grid_pos(t);
+    const Range c_rows = cl.block_rows(i, j);
+    const Range c_cols = cl.block_cols(i, j);
+    auto link = [&](int ia, int jx, int ibx, int jb, Range rows, Range k,
+                    Range cols) {
+      return Segment{&a.block(ia, jx),
+                     &b.block(ibx, jb),
+                     rows.lo - c_rows.lo,
+                     rows.hi - c_rows.lo,
+                     al.block_rows(ia, jx).lo - c_rows.lo,
+                     k.lo,
+                     k.hi,
+                     bl.block_rows(ibx, jb).lo,
+                     cols.lo,
+                     cols.hi};
+    };
+    std::vector<Segment> chain;
+    for (int step : active) {
+      const Range r = step_range(step);
+      switch (v2) {
+        case Variant2D::kAB:
+          chain.push_back(link(i, ja_of(step), ib_of(step), j, c_rows, r,
+                               c_cols));
+          break;
+        case Variant2D::kAC:
+          if (ib_of(step) != i) break;
+          for (int x = 0; x < p2; ++x) {
+            chain.push_back(link(x, ja_of(step), x, j, r,
+                                 al.block_cols(x, ja_of(step)), c_cols));
+          }
+          break;
+        case Variant2D::kBC:
+          if (ja_of(step) != j) break;
+          for (int x = 0; x < p3; ++x) {
+            chain.push_back(link(i, x, ib_of(step), x, c_rows,
+                                 al.block_cols(i, x), r));
+          }
+          break;
+      }
+    }
+    counts[t].resize(chain.size());
+    blocks[t] = sparse::spgemm_fold<M>(
+        c_rows.size(), b.ncols(), c_cols.lo, c_cols.hi,
+        std::span<const Segment>(chain), f, counts[t].data(),
+        sparse::tls_spgemm_workspace<TC>());
+  });
+
+  // Broadcasts [from, to) of step `step`'s slices, A's grid-row slices
+  // first, then B's grid-column slices; `post` issues them as nonblocking
   // collectives, which charge identically.
-  auto charge_bcasts = [&](int from, int to, bool post) {
-    const int na = static_cast<int>(a_slice.size());
+  const int na = v2 != Variant2D::kBC ? p2 : 0;
+  const int nbcasts = na + (v2 != Variant2D::kAC ? p3 : 0);
+  auto charge_bcasts = [&](int step, int from, int to, bool post) {
+    const Range r = step_range(step);
     for (int x = from; x < to; ++x) {
       const bool of_a = x < na;
-      const std::vector<int> group =
-          of_a ? cl.row_group(x) : cl.col_group(x - na);
+      const int y = of_a ? x : x - na;
+      const nnz_t entries =
+          of_a ? (v2 == Variant2D::kAB ? nnz_in_cols(a, y, ja_of(step), r)
+                                       : nnz_in_rows(a, y, ja_of(step), r))
+               : (v2 == Variant2D::kAB ? nnz_in_rows(b, ib_of(step), y, r)
+                                       : nnz_in_cols(b, ib_of(step), y, r));
+      const std::vector<int> group = of_a ? cl.row_group(y) : cl.col_group(y);
       const double words =
-          of_a ? static_cast<double>(
-                     a_slice[static_cast<std::size_t>(x)].nnz()) *
-                     sim::sparse_entry_words<TA>()
-               : static_cast<double>(
-                     b_slice[static_cast<std::size_t>(x - na)].nnz()) *
-                     sim::sparse_entry_words<TB>();
+          static_cast<double>(entries) *
+          (of_a ? sim::sparse_entry_words<TA>() : sim::sparse_entry_words<TB>());
       if (post) {
         log.post_bcast(group, words);
       } else {
@@ -392,141 +480,74 @@ DistMatrix<typename M::value_type> spgemm_2d(sim::ChargeLog& log,
     }
   };
 
-  // AC and BC multiply along one grid line (a column for AC, a row for BC)
-  // and reduce it; the line keeps its reduction serial in ascending order,
-  // so the ⊕ order (and any floating-point sum) matches the serial
-  // schedule. `group` lists the line's ranks in that order.
-  struct Line {
-    std::vector<sparse::SpgemmStats> s;
-    std::vector<nnz_t> touched;
-    nnz_t reduced_nnz = 0;
-  };
-  auto charge_line = [&](const Line& d, const std::vector<int>& group) {
-    for (std::size_t x = 0; x < group.size(); ++x) {
-      charge_multiply(group[x], d.s[x], d.touched[x]);
-    }
-    log.charge_reduce(group, static_cast<double>(d.reduced_nnz) *
-                                 sim::sparse_entry_words<TC>());
-  };
-
-  auto run_step = [&](int step) {
-    const Range r = split_range(split, steps, step);
+  // Step x's multiplies, in the step-by-step schedule's order. AB charges
+  // each block its products plus its fold's union work; an AC/BC line
+  // charges each rank its products plus its partial's entries, then reduces
+  // the line's share of the C block.
+  DistMatrix<TC> c(a.nrows(), b.ncols(), cl, std::move(blocks));
+  auto charge_step = [&](std::size_t x) {
+    const int step = active[x];
+    const Range r = step_range(step);
+    const std::size_t s0 = first_seg[x];
+    auto charge_link = [&](std::size_t t, std::size_t s, int rank, bool ab) {
+      const sparse::FoldCounts& n = counts[t][s];
+      charge_multiply(rank, n.ops,
+                      n.partial_nnz + (ab ? n.running_nnz : 0));
+    };
     switch (v2) {
-      case Variant2D::kAB: {
-        // Stationary C: every rank multiply-accumulates its C block from
-        // its grid row's A slice and its grid column's B slice.
-        struct Mul {
-          sparse::SpgemmStats s;
-          nnz_t touched = 0;
-        };
-        std::vector<Mul> muls(static_cast<std::size_t>(p2 * p3));
-        support::parallel_for_replay(
-            muls.size(),
-            [&](std::size_t t) {
-              const auto [i, j] = cl.grid_pos(t);
-              auto partial = sparse::spgemm<M>(
-                  a_slice[static_cast<std::size_t>(i)],
-                  b_slice[static_cast<std::size_t>(j)], f, &muls[t].s,
-                  /*b_row_offset=*/r.lo, &sparse::tls_spgemm_workspace<TC>());
-              muls[t].touched = partial.nnz() + c.block(i, j).nnz();
-              c.block(i, j) = sparse::ewise_union<M>(c.block(i, j), partial);
-            },
-            [&](std::size_t t) {
-              const auto [i, j] = cl.grid_pos(t);
-              charge_multiply(cl.rank_at(i, j), muls[t].s, muls[t].touched);
-            });
+      case Variant2D::kAB:
+        for (std::size_t t = 0; t < counts.size(); ++t) {
+          const auto [i, j] = cl.grid_pos(t);
+          charge_link(t, s0, cl.rank_at(i, j), true);
+        }
         break;
-      }
       case Variant2D::kAC: {
-        // Stationary B: the m-slice of A meets each grid column's B blocks;
-        // the column reduces its partials into C block (ic, j).
-        const int ic = step / (steps / p2);  // C rows split by p2
-        std::vector<Line> lines(static_cast<std::size_t>(p3));
-        support::parallel_for_replay(
-            lines.size(),
-            [&](std::size_t jt) {
-              const int j = static_cast<int>(jt);
-              Line& d = lines[jt];
-              d.s.resize(static_cast<std::size_t>(p2));
-              d.touched.resize(static_cast<std::size_t>(p2));
-              Csr<TC> reduced(r.size(), b.ncols());
-              for (int i = 0; i < p2; ++i) {
-                auto partial = sparse::spgemm<M>(
-                    a_slice[static_cast<std::size_t>(i)], b.block(i, j), f,
-                    &d.s[static_cast<std::size_t>(i)],
-                    /*b_row_offset=*/b.layout().block_rows(i, j).lo,
-                    &sparse::tls_spgemm_workspace<TC>());
-                d.touched[static_cast<std::size_t>(i)] = partial.nnz();
-                reduced = sparse::ewise_union<M>(reduced, partial);
-              }
-              d.reduced_nnz = reduced.nnz();
-              const Range c_rows = cl.block_rows(ic, j);
-              auto embedded = sparse::embed_rows(reduced, c_rows.size(),
-                                                 r.lo - c_rows.lo);
-              c.block(ic, j) =
-                  sparse::ewise_union<M>(c.block(ic, j), embedded);
-            },
-            [&](std::size_t jt) {
-              charge_line(lines[jt], cl.col_group(static_cast<int>(jt)));
-            });
+        const int ic = ib_of(step);
+        for (int j = 0; j < p3; ++j) {
+          const auto t = static_cast<std::size_t>(ic * p3 + j);
+          for (int y = 0; y < p2; ++y) {
+            charge_link(t, s0 + static_cast<std::size_t>(y), cl.rank_at(y, j),
+                        false);
+          }
+          log.charge_reduce(cl.col_group(j),
+                            static_cast<double>(nnz_in_rows(c, ic, j, r)) *
+                                sim::sparse_entry_words<TC>());
+        }
         break;
       }
       case Variant2D::kBC: {
-        // Stationary A: each grid row's A blocks meet the n-slices of B;
-        // the row reduces its partials into C block (i, jc).
-        const int ib = step / (steps / p2);  // B transposed: n split by p2
-        const int jc = step / (steps / p3);  // C cols split by p3
-        std::vector<Line> lines(static_cast<std::size_t>(p2));
-        support::parallel_for_replay(
-            lines.size(),
-            [&](std::size_t it) {
-              const int i = static_cast<int>(it);
-              Line& d = lines[it];
-              d.s.resize(static_cast<std::size_t>(p3));
-              d.touched.resize(static_cast<std::size_t>(p3));
-              Csr<TC> reduced(cl.block_rows(i, 0).size(), b.ncols());
-              for (int j = 0; j < p3; ++j) {
-                auto partial = sparse::spgemm<M>(
-                    a.block(i, j), b_slice[static_cast<std::size_t>(j)], f,
-                    &d.s[static_cast<std::size_t>(j)],
-                    /*b_row_offset=*/b.layout().block_rows(ib, j).lo,
-                    &sparse::tls_spgemm_workspace<TC>());
-                d.touched[static_cast<std::size_t>(j)] = partial.nnz();
-                reduced = sparse::ewise_union<M>(reduced, partial);
-              }
-              d.reduced_nnz = reduced.nnz();
-              c.block(i, jc) = sparse::ewise_union<M>(c.block(i, jc), reduced);
-            },
-            [&](std::size_t it) {
-              charge_line(lines[it], cl.row_group(static_cast<int>(it)));
-            });
+        const int jc = ja_of(step);
+        for (int i = 0; i < p2; ++i) {
+          const auto t = static_cast<std::size_t>(i * p3 + jc);
+          for (int y = 0; y < p3; ++y) {
+            charge_link(t, s0 + static_cast<std::size_t>(y), cl.rank_at(i, y),
+                        false);
+          }
+          log.charge_reduce(cl.row_group(i),
+                            static_cast<double>(nnz_in_cols(c, i, jc, r)) *
+                                sim::sparse_entry_words<TC>());
+        }
         break;
       }
     }
   };
 
-  if (active.empty()) return c;
   const bool async = plan.is_async();
   const int tile = std::max(plan.tile, 1);
   const std::vector<int> layer_ranks = cl.ranks();
   // Step 0's broadcasts have nothing to hide behind: they charge plainly.
-  build_slices(active[0]);
-  const int nbcasts = static_cast<int>(a_slice.size() + b_slice.size());
-  charge_bcasts(0, nbcasts, /*post=*/false);
-  for (std::size_t idx = 0; idx < active.size(); ++idx) {
-    const bool last = idx + 1 == active.size();
+  charge_bcasts(active[0], 0, nbcasts, /*post=*/false);
+  for (std::size_t x = 0; x < active.size(); ++x) {
+    const bool last = x + 1 == active.size();
     if (async) {
       log.overlap_open(layer_ranks, -1.0);
       in_window = true;
     }
-    run_step(active[idx]);
-    a_slice.clear();
-    b_slice.clear();
+    charge_step(x);
     int posted = 0;
     if (!last) {
-      build_slices(active[idx + 1]);
       if (async) posted = (nbcasts + tile - 1) / tile;
-      charge_bcasts(0, posted, /*post=*/true);
+      charge_bcasts(active[x + 1], 0, posted, /*post=*/true);
     }
     if (async) {
       log.overlap_close();
@@ -534,7 +555,7 @@ DistMatrix<typename M::value_type> spgemm_2d(sim::ChargeLog& log,
     }
     // The un-posted rest charges plainly, directly after the window: the
     // same contiguous position the sync schedule charges it at.
-    if (!last) charge_bcasts(posted, nbcasts, /*post=*/false);
+    if (!last) charge_bcasts(active[x + 1], posted, nbcasts, /*post=*/false);
   }
   return c;
 }
@@ -613,7 +634,6 @@ DistMatrix<typename M::value_type> spgemm(sim::Sim& sim, const Plan& plan,
     obs_ops_before = st->total_ops;
   }
   auto tele_finish = [&](DistMatrix<TC> c) {
-    abft_verify<M>(sim, c);
     if (tele_before.has_value()) {
       const sim::Cost delta = sim.ledger().critical() - *tele_before;
       tele_span.attr("nnz_c", static_cast<std::int64_t>(c.nnz()));
@@ -648,6 +668,11 @@ DistMatrix<typename M::value_type> spgemm(sim::Sim& sim, const Plan& plan,
   const int p1 = plan.p1, p2 = plan.p2, p3 = plan.p3;
   const int layer_sz = p2 * p3;
 
+  // The multiply's wall time falls into three child spans: mapping the
+  // operands onto their per-layer homes, the layer multiplies, and
+  // delivering the product.
+  telemetry::Span map_span("dist.spgemm.map");
+
   // Per-layer operand regions and home layouts.
   std::vector<Layout> a_homes, b_homes;
   a_homes.reserve(static_cast<std::size_t>(p1));
@@ -668,7 +693,7 @@ DistMatrix<typename M::value_type> spgemm(sim::Sim& sim, const Plan& plan,
 
   // Per-layer operands are read through pointers: into the fresh copies
   // mapped here, into the HomeCache, or at `a` itself when it already sits
-  // on its only home.
+  // on layer 0's home.
   std::vector<DistMatrix<TA>> a_fresh;
   std::vector<DistMatrix<TB>> b_fresh;
   std::vector<const DistMatrix<TA>*> as;
@@ -712,17 +737,21 @@ DistMatrix<typename M::value_type> spgemm(sim::Sim& sim, const Plan& plan,
   };
   map_b();
 
-  if (p1 == 1 && a.layout() == a_homes[0]) {
-    as.push_back(&a);  // already home: free
-  } else if (p1 == 1) {
-    a_fresh.push_back(redistribute<KeepFirst<TA>>(sim, a, a_homes[0]));
-  } else if (plan.v1 == Variant1D::kA) {
-    a_fresh = detail::replicate_layers(
-        sim, redistribute<KeepFirst<TA>>(sim, a, a_homes[0]), a_homes);
-  } else {  // kB and kC both split A
+  if (p1 > 1 && plan.v1 != Variant1D::kA) {  // kB and kC both split A
     a_fresh = detail::split_to<KeepFirst<TA>>(sim, a, a_homes);
+    for (const auto& m : a_fresh) as.push_back(&m);
+  } else {
+    // Every layer reads layer 0's home in place (a 3D-A plan charges the
+    // replication without copying); `a` itself when it already sits there.
+    const DistMatrix<TA>* a0 = &a;
+    if (a.layout() != a_homes[0]) {
+      a0 = &a_fresh.emplace_back(
+          redistribute<KeepFirst<TA>>(sim, a, a_homes[0]));
+    }
+    detail::charge_replication(sim, *a0, a_homes);
+    as.assign(static_cast<std::size_t>(p1), a0);
   }
-  for (const auto& m : a_fresh) as.push_back(&m);
+  map_span.end();
 
   // Layers are independent rank groups; run them concurrently, each charging
   // into a private ChargeLog replayed into the Sim in layer order at the
@@ -730,21 +759,26 @@ DistMatrix<typename M::value_type> spgemm(sim::Sim& sim, const Plan& plan,
   // spgemm_2d run inline on the layer's worker thread; a single layer is no
   // region, so its own loops reach the pool.
   std::vector<DistMatrix<TC>> cs(static_cast<std::size_t>(p1));
-  std::vector<sim::ChargeLog> layer_logs(static_cast<std::size_t>(p1));
-  std::vector<DistSpgemmStats> layer_stats(static_cast<std::size_t>(p1));
-  support::parallel_for_replay(
-      cs.size(),
-      [&](std::size_t l) {
-        cs[l] = detail::spgemm_2d<M>(layer_logs[l], plan, *as[l], *bs[l], f,
-                                     st != nullptr ? &layer_stats[l] : nullptr);
-      },
-      [&](std::size_t l) {
-        layer_logs[l].replay(sim);
-        // Layers address disjoint absolute rank ranges, so merging their
-        // per-rank vectors gives the exact fleet-wide max.
-        if (st != nullptr) st->merge(layer_stats[l]);
-      });
+  {
+    telemetry::Span layers_span("dist.spgemm.layers");
+    std::vector<sim::ChargeLog> layer_logs(static_cast<std::size_t>(p1));
+    std::vector<DistSpgemmStats> layer_stats(static_cast<std::size_t>(p1));
+    support::parallel_for_replay(
+        cs.size(),
+        [&](std::size_t l) {
+          cs[l] = detail::spgemm_2d<M>(
+              layer_logs[l], plan, static_cast<int>(l) * layer_sz, *as[l],
+              *bs[l], f, st != nullptr ? &layer_stats[l] : nullptr);
+        },
+        [&](std::size_t l) {
+          layer_logs[l].replay(sim);
+          // Layers address disjoint absolute rank ranges, so merging their
+          // per-rank vectors gives the exact fleet-wide max.
+          if (st != nullptr) st->merge(layer_stats[l]);
+        });
+  }
 
+  telemetry::Span deliver_span("dist.spgemm.deliver");
   if (p1 > 1 && plan.v1 == Variant1D::kC) {
     // Sparse-reduce the full-shape partial Cs across layers onto layer 0,
     // then deliver.
@@ -766,8 +800,11 @@ DistMatrix<typename M::value_type> spgemm(sim::Sim& sim, const Plan& plan,
     }
     cs.resize(1);
   }
-  return tele_finish(detail::merge_to<M>(sim, a.nrows(), b.ncols(),
-                                         std::move(cs), out_layout));
+  DistMatrix<TC> c = detail::merge_to<M>(sim, a.nrows(), b.ncols(),
+                                         std::move(cs), out_layout);
+  abft_verify<M>(sim, c);
+  deliver_span.end();
+  return tele_finish(std::move(c));
 }
 
 /// Convenience overload: autotune the plan (§6.2) from the §5.2 estimates,

@@ -5,6 +5,7 @@
 // blocks across simulated ranks safe.
 #pragma once
 
+#include <algorithm>
 #include <span>
 #include <utility>
 #include <vector>
@@ -95,6 +96,20 @@ class Csr {
     return std::span<const T>(val_).subspan(
         static_cast<std::size_t>(rowptr_[static_cast<std::size_t>(r)]),
         static_cast<std::size_t>(row_nnz(r)));
+  }
+
+  /// Offsets [first, last) of row r's entries whose columns lie in
+  /// [lo, hi): no search when the whole row is inside or outside.
+  std::pair<nnz_t, nnz_t> row_run(vid_t r, vid_t lo, vid_t hi) const {
+    nnz_t first = rowptr_[static_cast<std::size_t>(r)];
+    nnz_t last = rowptr_[static_cast<std::size_t>(r) + 1];
+    if (first == last) return {first, last};
+    const vid_t* c = col_.data();
+    if (c[first] >= lo && c[last - 1] < hi) return {first, last};
+    if (c[first] >= hi || c[last - 1] < lo) return {first, first};
+    first = std::lower_bound(c + first, c + last, lo) - c;
+    last = std::lower_bound(c + first, c + last, hi) - c;
+    return {first, last};
   }
 
   nnz_t row_nnz(vid_t r) const {

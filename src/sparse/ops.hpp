@@ -239,24 +239,4 @@ Csr<T> slice_cols(const Csr<T>& a, vid_t begin, vid_t end) {
   });
 }
 
-/// Place `a`'s rows at offset `row_offset` inside a taller matrix of
-/// `new_nrows` rows (inverse of slice_rows; used when a SUMMA m-slice is
-/// accumulated into its destination block).
-template <typename T>
-Csr<T> embed_rows(const Csr<T>& a, vid_t new_nrows, vid_t row_offset) {
-  MFBC_CHECK(row_offset >= 0 && row_offset + a.nrows() <= new_nrows,
-             "embed_rows target out of range");
-  std::vector<nnz_t> rowptr(static_cast<std::size_t>(new_nrows) + 1, 0);
-  for (vid_t r = 0; r < a.nrows(); ++r) {
-    rowptr[static_cast<std::size_t>(row_offset + r) + 1] = a.rowptr()[static_cast<std::size_t>(r) + 1];
-  }
-  for (vid_t r = row_offset + a.nrows(); r < new_nrows; ++r) {
-    rowptr[static_cast<std::size_t>(r) + 1] = a.nnz();
-  }
-  std::vector<vid_t> col(a.col().begin(), a.col().end());
-  std::vector<T> val(a.val().begin(), a.val().end());
-  return Csr<T>(new_nrows, a.ncols(), std::move(rowptr), std::move(col),
-                std::move(val));
-}
-
 }  // namespace mfbc::sparse

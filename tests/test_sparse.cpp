@@ -2,9 +2,14 @@
 // structural ops, and the generalized SpGEMM against a dense reference.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <map>
+#include <span>
+#include <stdexcept>
 #include <tuple>
 #include <vector>
 
+#include "algebra/centpath.hpp"
 #include "algebra/multpath.hpp"
 #include "algebra/tropical.hpp"
 #include "sparse/coo.hpp"
@@ -16,6 +21,8 @@
 namespace mfbc::sparse {
 namespace {
 
+using algebra::Centpath;
+using algebra::CentpathMonoid;
 using algebra::kInfWeight;
 using algebra::Multpath;
 using algebra::MultpathMonoid;
@@ -246,16 +253,6 @@ TEST(Ops, SliceColsKeepsShapeAndIndexSpace) {
   }
 }
 
-TEST(Ops, EmbedRowsRoundTripsWithSlice) {
-  auto a = random_csr(4, 5, 0.5, 23);
-  auto e = embed_rows(a, 10, 3);
-  EXPECT_EQ(e.nrows(), 10);
-  EXPECT_EQ(e.nnz(), a.nnz());
-  EXPECT_EQ(slice_rows(e, 3, 7), a);
-  EXPECT_EQ(e.row_nnz(0), 0);
-  EXPECT_EQ(e.row_nnz(9), 0);
-}
-
 class SpgemmRandom
     : public ::testing::TestWithParam<std::tuple<int, int, int, double>> {};
 
@@ -330,6 +327,314 @@ TEST(Spgemm, MultpathShortestPathSemantics) {
 TEST(Spgemm, InnerDimensionMismatchThrows) {
   Csr<double> a(2, 3), b(4, 2);
   EXPECT_THROW(spgemm<SumMonoid>(a, b, Times{}), Error);
+}
+
+// ---------------------------------------------------------------------------
+// Row emission: scanning the occupancy window and sorting `touched` must
+// give the same bytes. Each monoid's case multiplies A (values of the
+// monoid) by B (double weights) through a bridge that applies the weight.
+
+struct SumCase {
+  using M = SumMonoid;
+  static double value(int x) { return (x + 1) * 0.1; }
+  static double cancel(bool first) { return first ? 0.3 : -0.3; }
+  double operator()(double a, double w) const { return a * w; }
+};
+struct TropicalCase {
+  using M = TropicalMinMonoid;
+  static double value(int x) { return 1.0 + x * 0.1; }
+  // min never reaches +inf from finite values: the cancelling row's
+  // products are +inf themselves.
+  static double cancel(bool) { return kInfWeight; }
+  double operator()(double a, double w) const { return a + w; }
+};
+struct MultpathCase {
+  using M = MultpathMonoid;
+  static Multpath value(int x) { return {static_cast<double>(x % 3), 1.0 + x}; }
+  static Multpath cancel(bool first) {
+    return {kInfWeight, first ? 1.0 : -1.0};
+  }
+  Multpath operator()(const Multpath& a, double w) const {
+    return algebra::BellmanFordAction{}(a, w);
+  }
+};
+struct CentpathCase {
+  using M = CentpathMonoid;
+  static Centpath value(int x) {
+    return {static_cast<double>(x % 3), 0.1 * (1 + x), 1.0};
+  }
+  static Centpath cancel(bool first) {
+    return {-kInfWeight, first ? 0.7 : -0.7, first ? 1.0 : -1.0};
+  }
+  Centpath operator()(const Centpath& a, double w) const {
+    return algebra::BrandesAction{}(a, w);
+  }
+};
+
+/// The product accumulated per row in a std::map, in the kernel's product
+/// order, emitted in key order: the sort-emit reference.
+template <typename C, typename TA>
+Csr<typename C::M::value_type> map_reference(const Csr<TA>& a,
+                                             const Csr<double>& b) {
+  using M = typename C::M;
+  using TC = typename M::value_type;
+  Coo<TC> coo(a.nrows(), b.ncols());
+  for (vid_t i = 0; i < a.nrows(); ++i) {
+    std::map<vid_t, TC> row;
+    for (std::size_t t = 0; t < a.row_cols(i).size(); ++t) {
+      const vid_t k = a.row_cols(i)[t];
+      for (std::size_t u = 0; u < b.row_cols(k).size(); ++u) {
+        TC prod = C{}(a.row_vals(i)[t], b.row_vals(k)[u]);
+        auto [it, fresh] = row.try_emplace(b.row_cols(k)[u], prod);
+        if (!fresh) it->second = M::combine(it->second, prod);
+      }
+    }
+    for (const auto& [j, v] : row) {
+      if (!M::is_identity(v)) coo.push(i, j, v);
+    }
+  }
+  return Csr<TC>::template from_coo<KeepFirst<TC>>(std::move(coo));
+}
+
+template <typename C>
+void check_emit_paths() {
+  using TC = typename C::M::value_type;
+  const vid_t n = 40, k = 8;
+  // Row 0 touches every column (scanned); row 1 only columns 0 and n−1
+  // (sorted); row 2 cancels its only column (scanned); row 3 cancels column
+  // 0 and keeps n−1 (sorted).
+  Coo<TC> ac(4, k);
+  for (vid_t x = 0; x < 4; ++x) ac.push(0, x, C::value(static_cast<int>(x)));
+  ac.push(1, 4, C::value(5));
+  ac.push(2, 5, C::cancel(true));
+  ac.push(2, 6, C::cancel(false));
+  ac.push(3, 5, C::cancel(true));
+  ac.push(3, 6, C::cancel(false));
+  ac.push(3, 7, C::value(7));
+  Coo<double> bc(k, n);
+  for (vid_t x = 0; x < 4; ++x) {
+    for (vid_t j = x; j < n; j += 2) bc.push(x, j, 1.0 + static_cast<double>(x));
+  }
+  bc.push(4, 0, 2.0);
+  bc.push(4, n - 1, 3.0);
+  bc.push(5, 0, 1.0);
+  bc.push(6, 0, 1.0);
+  bc.push(7, n - 1, 1.5);
+  // KeepFirst stores the identity-valued operands the cancelling rows use.
+  const auto a = Csr<TC>::template from_coo<KeepFirst<TC>>(std::move(ac));
+  const auto b = Csr<double>::from_coo<SumMonoid>(std::move(bc));
+  const auto c = spgemm<typename C::M>(a, b, C{});
+  EXPECT_EQ(c, (map_reference<C>(a, b)));
+  EXPECT_EQ(c.row_nnz(0), n);
+  EXPECT_EQ(c.row_nnz(1), 2);
+  EXPECT_EQ(c.row_nnz(2), 0);
+  EXPECT_EQ(c.row_nnz(3), 1);
+}
+
+TEST(Spgemm, ScanAndSortEmitAgreeForEveryMonoid) {
+  check_emit_paths<SumCase>();
+  check_emit_paths<TropicalCase>();
+  check_emit_paths<MultpathCase>();
+  check_emit_paths<CentpathCase>();
+}
+
+// ---------------------------------------------------------------------------
+// spgemm_fold against the explicit chain it replaces
+
+/// Non-dyadic values, so a changed ⊕ order changes bits.
+Csr<double> nondyadic_csr(vid_t m, vid_t n, double density,
+                          std::uint64_t seed) {
+  Xoshiro256 rng(seed);
+  Coo<double> coo(m, n);
+  for (vid_t i = 0; i < m; ++i) {
+    for (vid_t j = 0; j < n; ++j) {
+      if (rng.uniform01() < density) {
+        coo.push(i, j, (1 + static_cast<double>(rng.bounded(999))) / 1000.0 *
+                           (rng.bounded(2) == 0 ? 1.0 : -1.0));
+      }
+    }
+  }
+  return Csr<double>::from_coo<SumMonoid>(std::move(coo));
+}
+
+/// The chain by slices: per segment, slice A's rows and k window and B's
+/// column window, multiply, shift the partial to the segment's rows, and
+/// ewise_union it into the running matrix; counts as the 2D driver took
+/// them from the intermediate matrices.
+template <typename M, typename TA, typename TB, typename F>
+Csr<typename M::value_type> chain_reference(
+    vid_t nrows, vid_t ncols, const std::vector<FoldSegment<TA, TB>>& segs,
+    F f, std::vector<FoldCounts>& counts) {
+  using TC = typename M::value_type;
+  Csr<TC> running(nrows, ncols);
+  counts.assign(segs.size(), {});
+  for (std::size_t s = 0; s < segs.size(); ++s) {
+    const auto& sg = segs[s];
+    const auto a = slice_cols(slice_rows(*sg.a, sg.row_lo - sg.a_row_offset,
+                                         sg.row_hi - sg.a_row_offset),
+                              sg.k_lo, sg.k_hi);
+    const auto b = slice_cols(*sg.b, sg.col_lo, sg.col_hi);
+    SpgemmStats st;
+    const auto part = spgemm<M>(a, b, f, &st, sg.b_row_offset);
+    Coo<TC> shifted(nrows, ncols);
+    for (vid_t r = 0; r < part.nrows(); ++r) {
+      for (std::size_t x = 0; x < part.row_cols(r).size(); ++x) {
+        shifted.push(r + sg.row_lo, part.row_cols(r)[x], part.row_vals(r)[x]);
+      }
+    }
+    counts[s].ops = st.ops;
+    counts[s].partial_nnz = part.nnz();
+    counts[s].running_nnz =
+        running.rowptr()[static_cast<std::size_t>(sg.row_hi)] -
+        running.rowptr()[static_cast<std::size_t>(sg.row_lo)];
+    running = ewise_union<M>(
+        running, Csr<TC>::template from_coo<KeepFirst<TC>>(std::move(shifted)));
+  }
+  return running;
+}
+
+template <typename M, typename TA, typename TB, typename F>
+void expect_fold_matches_chain(vid_t nrows, vid_t ncols, vid_t col_lo,
+                               vid_t col_hi,
+                               const std::vector<FoldSegment<TA, TB>>& segs,
+                               F f, SpgemmWorkspace<typename M::value_type>& ws) {
+  std::vector<FoldCounts> want;
+  const auto expected = chain_reference<M>(nrows, ncols, segs, f, want);
+  std::vector<FoldCounts> got(segs.size());
+  const auto c = spgemm_fold<M>(nrows, ncols, col_lo, col_hi,
+                                std::span<const FoldSegment<TA, TB>>(segs), f,
+                                got.data(), ws);
+  EXPECT_EQ(c, expected);
+  for (std::size_t s = 0; s < segs.size(); ++s) {
+    EXPECT_EQ(got[s].ops, want[s].ops) << "segment " << s;
+    EXPECT_EQ(got[s].partial_nnz, want[s].partial_nnz) << "segment " << s;
+    EXPECT_EQ(got[s].running_nnz, want[s].running_nnz) << "segment " << s;
+  }
+}
+
+TEST(SpgemmFold, MatchesTheSliceMultiplyUnionChain) {
+  // A 12×30 against B's rows split in three blocks of 10 (B row offsets 0,
+  // 10, 20); output columns [6, 30).
+  const vid_t m = 12, k = 30, n = 34;
+  const auto a = nondyadic_csr(m, k, 0.35, 61);
+  const auto b = nondyadic_csr(k, n, 0.35, 62);
+  const Csr<double> b0 = slice_rows(b, 0, 10), b1 = slice_rows(b, 10, 20),
+                    b2 = slice_rows(b, 20, 30);
+  using Seg = FoldSegment<double, double>;
+  SpgemmWorkspace<double> ws;
+  // AB-shaped: every row, k windows finer than B's blocks.
+  expect_fold_matches_chain<SumMonoid>(
+      m, n, 6, 30,
+      std::vector<Seg>{{&a, &b0, 0, m, 0, 0, 5, 0, 6, 30},
+                       {&a, &b0, 0, m, 0, 5, 10, 0, 6, 30},
+                       {&a, &b1, 0, m, 0, 10, 20, 10, 6, 30},
+                       {&a, &b2, 0, m, 0, 20, 25, 20, 6, 30},
+                       {&a, &b2, 0, m, 0, 25, 30, 20, 6, 30}},
+      Times{}, ws);
+  // AC-shaped: row windows reading A at an offset (output row x reads A row
+  // x + 2), each window folding all three k blocks.
+  const Csr<double> a_tall = nondyadic_csr(m + 4, k, 0.35, 63);
+  std::vector<Seg> ac;
+  for (const auto& [lo, hi] : {std::pair<vid_t, vid_t>{0, 5}, {5, 12}}) {
+    ac.push_back({&a_tall, &b0, lo, hi, -2, 0, 10, 0, 6, 30});
+    ac.push_back({&a_tall, &b1, lo, hi, -2, 10, 20, 10, 6, 30});
+    ac.push_back({&a_tall, &b2, lo, hi, -2, 20, 30, 20, 6, 30});
+  }
+  expect_fold_matches_chain<SumMonoid>(m, n, 6, 30, ac, Times{}, ws);
+  // BC-shaped: column windows, each folding all three k blocks.
+  std::vector<Seg> bc;
+  for (const auto& [lo, hi] : {std::pair<vid_t, vid_t>{6, 17}, {17, 30}}) {
+    bc.push_back({&a, &b0, 0, m, 0, 0, 10, 0, lo, hi});
+    bc.push_back({&a, &b1, 0, m, 0, 10, 20, 10, lo, hi});
+    bc.push_back({&a, &b2, 0, m, 0, 20, 30, 20, lo, hi});
+  }
+  expect_fold_matches_chain<SumMonoid>(m, n, 6, 30, bc, Times{}, ws);
+}
+
+TEST(SpgemmFold, CancelledEntriesAreDroppedAndMayReturn) {
+  // Row 0 meets column 3 through k = 0, 1, 2, 3 with products 1, −1, 0.25
+  // and −0.25 in four segments: the fold cancels the entry after the
+  // second, adds it back in the third and cancels it again in the fourth.
+  Coo<double> ac(2, 4), bc(4, 8);
+  const double vs[] = {1.0, -1.0, 0.25, -0.25};
+  for (vid_t x = 0; x < 4; ++x) {
+    ac.push(0, x, vs[x]);
+    ac.push(1, x, 0.5);
+    bc.push(x, 3, 1.0);
+    bc.push(x, 5, 0.1 * static_cast<double>(x + 1));
+  }
+  const auto a = Csr<double>::from_coo<SumMonoid>(std::move(ac));
+  const auto b = Csr<double>::from_coo<SumMonoid>(std::move(bc));
+  using Seg = FoldSegment<double, double>;
+  std::vector<Seg> segs;
+  for (vid_t x = 0; x < 4; ++x) segs.push_back({&a, &b, 0, 2, 0, x, x + 1, 0, 0, 8});
+  SpgemmWorkspace<double> ws;
+  expect_fold_matches_chain<SumMonoid>(2, 8, 0, 8, segs, Times{}, ws);
+  std::vector<FoldCounts> counts(segs.size());
+  const auto c = spgemm_fold<SumMonoid>(2, 8, 0, 8,
+                                        std::span<const Seg>(segs), Times{},
+                                        counts.data(), ws);
+  EXPECT_EQ(c.row_nnz(0), 1);  // only column 5 survives in row 0
+  EXPECT_EQ(counts[2].running_nnz, 3);  // row 0: {5}; row 1: {3, 5}
+  EXPECT_EQ(counts[3].running_nnz, 4);
+}
+
+TEST(SpgemmFold, CentpathChainMatchesTheSliceMultiplyUnionChain) {
+  Xoshiro256 rng(71);
+  Coo<Centpath> fc(10, 24);
+  for (vid_t i = 0; i < 10; ++i) {
+    for (vid_t j = 0; j < 24; ++j) {
+      if (rng.uniform01() < 0.4) {
+        fc.push(i, j, Centpath{static_cast<double>(4 + rng.bounded(3)),
+                               0.001 * static_cast<double>(1 + rng.bounded(999)),
+                               1.0});
+      }
+    }
+  }
+  const auto f = Csr<Centpath>::from_coo<CentpathMonoid>(std::move(fc));
+  Coo<double> wc(24, 20);
+  for (vid_t i = 0; i < 24; ++i) {
+    for (vid_t j = 0; j < 20; ++j) {
+      if (rng.uniform01() < 0.4) wc.push(i, j, 1.0 + static_cast<double>(rng.bounded(2)));
+    }
+  }
+  const auto w = Csr<double>::from_coo<SumMonoid>(std::move(wc));
+  using Seg = FoldSegment<Centpath, double>;
+  std::vector<Seg> segs;
+  for (vid_t lo = 0; lo < 24; lo += 6) segs.push_back({&f, &w, 0, 10, 0, lo, lo + 6, 0, 0, 20});
+  SpgemmWorkspace<Centpath> ws;
+  expect_fold_matches_chain<CentpathMonoid>(10, 20, 0, 20, segs,
+                                            algebra::BrandesAction{}, ws);
+}
+
+TEST(SpgemmFold, ThrowingBridgeLeavesTheNextCallClean) {
+  const auto a = nondyadic_csr(10, 15, 0.5, 81);
+  const auto b = nondyadic_csr(15, 15, 0.5, 82);
+  using Seg = FoldSegment<double, double>;
+  const std::vector<Seg> segs{{&a, &b, 0, 10, 0, 0, 8, 0, 0, 15},
+                              {&a, &b, 0, 10, 0, 8, 15, 0, 0, 15}};
+  SpgemmWorkspace<double> ws;
+  std::vector<FoldCounts> counts(segs.size());
+  int calls = 0;
+  auto throwing = [&](double x, double y) -> double {
+    if (++calls == 40) throw std::runtime_error("bridge");
+    return x * y;
+  };
+  // The throw lands mid-row with both the product and the running
+  // accumulator dirty.
+  EXPECT_THROW(spgemm_fold<SumMonoid>(10, 15, 0, 15, std::span<const Seg>(segs),
+                                      throwing, counts.data(), ws),
+               std::runtime_error);
+  expect_fold_matches_chain<SumMonoid>(10, 15, 0, 15, segs, Times{}, ws);
+  // A monoid with another identity over the same value type refills it too.
+  SpgemmWorkspace<double> fresh;
+  std::vector<FoldCounts> c1(segs.size()), c2(segs.size());
+  EXPECT_EQ(spgemm_fold<TropicalMinMonoid>(10, 15, 0, 15,
+                                           std::span<const Seg>(segs),
+                                           std::plus<>{}, c1.data(), ws),
+            spgemm_fold<TropicalMinMonoid>(10, 15, 0, 15,
+                                           std::span<const Seg>(segs),
+                                           std::plus<>{}, c2.data(), fresh));
 }
 
 }  // namespace
