@@ -75,7 +75,8 @@ struct Assembled {
 ///
 /// A target block walks its global rows in order. For each row it visits
 /// the overlapping sources in ascending column order and copies the run of
-/// the source row that falls in the tile's columns (Csr::row_run). Like
+/// the source row that falls in the tile's columns, found by binary search
+/// unless the source's columns lie inside the tile's. Like
 /// Csr::from_coo<M>, it drops entries equal to M's identity; the counts
 /// include them, as the entries still travel.
 ///
@@ -121,8 +122,17 @@ Assembled<T> assemble(const std::vector<Source<T>>& sources,
       for (std::size_t k = 0; k < slot.from.size(); ++k) {
         const Source<T>& src = sources[slot.from[k]];
         if (!src.tile.rows.contains(r)) continue;
-        const auto [first, last] = src.csr->row_run(r - src.tile.rows.lo,
-                                                    tt.cols.lo, tt.cols.hi);
+        const auto rp = src.csr->rowptr();
+        const auto lr = static_cast<std::size_t>(r - src.tile.rows.lo);
+        nnz_t first = rp[lr];
+        nnz_t last = rp[lr + 1];
+        if (first == last) continue;
+        if (src.tile.cols.lo < tt.cols.lo || src.tile.cols.hi > tt.cols.hi) {
+          const vid_t* col = src.csr->col().data();
+          if (col[first] >= tt.cols.hi || col[last - 1] < tt.cols.lo) continue;
+          first = std::lower_bound(col + first, col + last, tt.cols.lo) - col;
+          last = std::lower_bound(col + first, col + last, tt.cols.hi) - col;
+        }
         if (first < last) visit(k, first, last);
       }
     };

@@ -7,11 +7,13 @@
 //   * 3D variants (X,YZ): the nine nestings of a 1D variant over p1 layers
 //     with a 2D variant on each layer's p2×p3 grid.
 //
-// Every variant really moves the block data between virtual-rank slots and
-// charges the α–β ledger at each collective, so measured critical-path costs
-// come out of execution rather than out of the model. The §5.2 closed forms
-// live in cost_model.hpp and are used only for *plan selection* (§6.2), as
-// in CTF.
+// Every variant charges the α–β ledger at each collective with the payload
+// it carries, counted from the blocks it executes on, so measured
+// critical-path costs come out of execution rather than out of the model.
+// Operand mapping builds each home's blocks; the 2D steps' broadcasts and a
+// 3D-A plan's layer replicas read the sending rank's blocks in place. The
+// §5.2 closed forms live in cost_model.hpp and are used only for *plan
+// selection* (§6.2), as in CTF.
 //
 // All variants compute bit-identical results to sparse::spgemm for the
 // commutative monoids used in this library (verified by the test suite).
@@ -261,7 +263,7 @@ std::vector<DistMatrix<T>> replicate_layers(sim::Sim& sim, DistMatrix<T> layer0,
   return out;
 }
 
-/// Entries of `m` in global rows `r` (block (i,j) of its layout).
+/// Entries of block (i,j) of `m` in global rows `r`.
 template <typename T>
 nnz_t nnz_in_rows(const DistMatrix<T>& m, int i, int j, Range r) {
   const auto rp = m.block(i, j).rowptr();
@@ -378,28 +380,18 @@ DistMatrix<typename M::value_type> spgemm_2d(sim::ChargeLog& log,
   auto step_range = [&](int step) { return split_range(split, steps, step); };
   auto ja_of = [&](int step) { return step / (steps / p3); };
   auto ib_of = [&](int step) { return step / (steps / p2); };
-  // AC folds a step into C's grid row ib_of(step), BC into C's grid column
-  // ja_of(step); first_seg[x] is the first link active[x] adds to that C
-  // block's chain (AB: every step adds one link to every block).
+  // Where step active[x]'s links start in the chains it feeds: AB adds one
+  // link per step to every C block, AC p2 links to the blocks of C's grid
+  // row ib_of(step), BC p3 links to those of C's grid column ja_of(step).
+  const int per_step = v2 == Variant2D::kAB ? 1 : v2 == Variant2D::kAC ? p2 : p3;
   std::vector<std::size_t> first_seg(active.size());
-  {
-    std::vector<std::size_t> links(static_cast<std::size_t>(std::max(p2, p3)),
-                                    0);
-    for (std::size_t x = 0; x < active.size(); ++x) {
-      switch (v2) {
-        case Variant2D::kAB: first_seg[x] = x; break;
-        case Variant2D::kAC:
-          first_seg[x] = links[static_cast<std::size_t>(ib_of(active[x]))];
-          links[static_cast<std::size_t>(ib_of(active[x]))] +=
-              static_cast<std::size_t>(p2);
-          break;
-        case Variant2D::kBC:
-          first_seg[x] = links[static_cast<std::size_t>(ja_of(active[x]))];
-          links[static_cast<std::size_t>(ja_of(active[x]))] +=
-              static_cast<std::size_t>(p3);
-          break;
-      }
-    }
+  std::vector<std::size_t> links(static_cast<std::size_t>(std::max(p2, p3)), 0);
+  for (std::size_t x = 0; x < active.size(); ++x) {
+    const int line = v2 == Variant2D::kAB   ? 0
+                     : v2 == Variant2D::kAC ? ib_of(active[x])
+                                            : ja_of(active[x]);
+    first_seg[x] = links[static_cast<std::size_t>(line)];
+    links[static_cast<std::size_t>(line)] += static_cast<std::size_t>(per_step);
   }
 
   using Segment = sparse::FoldSegment<TA, TB>;

@@ -416,6 +416,13 @@ Csr<typename M::value_type> spgemm_fold(
     ws.invalidate();
     throw;
   }
+  // The reservation can exceed the block several times over (products
+  // that land on one column); give a mostly unused one back, since the
+  // block may outlive the multiply.
+  if (out_col.capacity() > 2 * out_col.size()) {
+    out_col.shrink_to_fit();
+    out_val.shrink_to_fit();
+  }
   return Csr<TC>(nrows, ncols, std::move(rowptr), std::move(out_col),
                  std::move(out_val));
 }
