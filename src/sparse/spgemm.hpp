@@ -172,6 +172,43 @@ void emit_row(std::vector<vid_t>& touched, vid_t base,
   touched.clear();
 }
 
+/// Accumulate A's entries [first, last) of one row against B into the
+/// scratch: entry (k, a) meets B row k − b_row_offset, restricted to
+/// columns [col_lo, col_hi), and k outside B contributes nothing. A
+/// column's first product is assigned, later ones combine into it.
+/// Returns the elementary products.
+template <algebra::Monoid M, typename TA, typename TB, typename F>
+nnz_t accumulate_row(const Csr<TA>& a, nnz_t first, nnz_t last,
+                     const Csr<TB>& b, vid_t b_row_offset, vid_t col_lo,
+                     vid_t col_hi, F& f,
+                     std::vector<typename M::value_type>& acc,
+                     std::vector<unsigned char>& occupied,
+                     std::vector<vid_t>& touched) {
+  const vid_t* acol = a.col().data();
+  const TA* aval = a.val().data();
+  const vid_t* bcol = b.col().data();
+  const TB* bval = b.val().data();
+  nnz_t ops = 0;
+  for (nnz_t t = first; t < last; ++t) {
+    const vid_t k = acol[t] - b_row_offset;
+    if (k < 0 || k >= b.nrows()) continue;
+    const auto [bf, bl] = b.row_run(k, col_lo, col_hi);
+    ops += bl - bf;
+    for (nnz_t u = bf; u < bl; ++u) {
+      const auto ju = static_cast<std::size_t>(bcol[u]);
+      typename M::value_type prod = f(aval[t], bval[u]);
+      if (!occupied[ju]) {
+        occupied[ju] = 1;
+        touched.push_back(bcol[u]);
+        acc[ju] = std::move(prod);
+      } else {
+        acc[ju] = M::combine(acc[ju], prod);
+      }
+    }
+  }
+  return ops;
+}
+
 /// Gustavson core over caller-provided scratch. acc/occupied must be clean
 /// (identity / 0) on entry and are clean again on normal exit.
 template <algebra::Monoid M, typename TA, typename TB, typename F>
@@ -193,28 +230,10 @@ Csr<typename M::value_type> spgemm_core(const Csr<TA>& a, const Csr<TB>& b,
   }
 
   for (vid_t i = 0; i < a.nrows(); ++i) {
-    auto acs = a.row_cols(i);
-    auto avs = a.row_vals(i);
-    for (std::size_t t = 0; t < acs.size(); ++t) {
-      const vid_t k = acs[t] - b_row_offset;
-      if (k < 0 || k >= b.nrows()) continue;
-      auto bcs = b.row_cols(k);
-      auto bvs = b.row_vals(k);
-      const TA& av = avs[t];
-      for (std::size_t u = 0; u < bcs.size(); ++u) {
-        const vid_t j = bcs[u];
-        TC prod = f(av, bvs[u]);
-        ++ops;
-        auto ju = static_cast<std::size_t>(j);
-        if (!occupied[ju]) {
-          occupied[ju] = 1;
-          touched.push_back(j);
-          acc[ju] = std::move(prod);
-        } else {
-          acc[ju] = M::combine(acc[ju], prod);
-        }
-      }
-    }
+    ops += accumulate_row<M>(a, a.rowptr()[static_cast<std::size_t>(i)],
+                             a.rowptr()[static_cast<std::size_t>(i) + 1], b,
+                             b_row_offset, 0, ncols, f, acc, occupied,
+                             touched);
     emit_row<M>(touched, 0, acc, occupied, out_col, out_val);
     rowptr[static_cast<std::size_t>(i) + 1] = static_cast<nnz_t>(out_col.size());
   }
@@ -354,27 +373,10 @@ Csr<typename M::value_type> spgemm_fold(
         n.running_nnz += running;
         const auto [first, last] =
             sg.a->row_run(x - sg.a_row_offset, sg.k_lo, sg.k_hi);
-        const vid_t* acol = sg.a->col().data();
-        const TA* aval = sg.a->val().data();
-        for (nnz_t t = first; t < last; ++t) {
-          const vid_t kb = acol[t] - sg.b_row_offset;
-          if (kb < 0 || kb >= sg.b->nrows()) continue;
-          const auto [bf, bl] = sg.b->row_run(kb, sg.col_lo, sg.col_hi);
-          const vid_t* bcol = sg.b->col().data();
-          const TB* bval = sg.b->val().data();
-          n.ops += bl - bf;
-          for (nnz_t u = bf; u < bl; ++u) {
-            const auto ju = static_cast<std::size_t>(bcol[u]);
-            TC prod = f(aval[t], bval[u]);
-            if (!occupied[ju]) {
-              occupied[ju] = 1;
-              touched.push_back(bcol[u]);
-              acc[ju] = std::move(prod);
-            } else {
-              acc[ju] = M::combine(acc[ju], prod);
-            }
-          }
-        }
+        n.ops += detail::accumulate_row<M>(*sg.a, first, last, *sg.b,
+                                           sg.b_row_offset, sg.col_lo,
+                                           sg.col_hi, f, acc, occupied,
+                                           touched);
         // Fold the partial into the running row, column by column.
         for (vid_t j : touched) {
           const auto ju = static_cast<std::size_t>(j);
