@@ -148,7 +148,7 @@ void CombBlasBc::run_batch(const std::vector<vid_t>& batch_sources,
     DistMatrix<double> reached = shell_.multiply<SumMonoid>(
         Sweep::kForward,
         {"baseline.forward", "count", sim::sparse_entry_words<double>()},
-        frontier, CountAction{}, sl);
+        std::move(frontier), CountAction{}, sl);
     // Visited-mask filtering: each (i,j) task touches only its own batch
     // block and bin; compute charges depend only on the product block sizes,
     // so they are issued serially after the barrier in the (i,j) order.
@@ -220,8 +220,8 @@ void CombBlasBc::run_batch(const std::vector<vid_t>& batch_sources,
                        static_cast<double>(w.nnz()));
     DistMatrix<double> u = shell_.multiply<SumMonoid>(
         Sweep::kBackward,
-        {"baseline.backward", "dep", sim::sparse_entry_words<double>()}, w,
-        DepAction{}, sl);
+        {"baseline.backward", "dep", sim::sparse_entry_words<double>()},
+        std::move(w), DepAction{}, sl);
     support::parallel_for_replay(
         nblocks,
         [&](std::size_t t) {

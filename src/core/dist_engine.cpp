@@ -33,8 +33,16 @@ DistEngine::DistEngine(sim::Sim& sim, const graph::Graph& g,
   base_ = Layout{0, pr, pc, Range{0, g_.n()}, Range{0, g_.n()}, false};
   adj_ = DistMatrix<Weight>::scatter<algebra::TropicalMinMonoid>(
       sim, g_.adj(), base_);
-  adj_t_ = DistMatrix<Weight>::scatter<algebra::TropicalMinMonoid>(
-      sim, sparse::transpose(g_.adj()), base_);
+  if (g_.directed()) {
+    adj_t_ = DistMatrix<Weight>::scatter<algebra::TropicalMinMonoid>(
+        sim, sparse::transpose(g_.adj()), base_);
+  } else {
+    // Every Graph construction keeps an undirected adjacency symmetric, so
+    // adj_t() reads A's blocks; each simulated rank still receives its own
+    // Aᵀ, and that scatter is charged as a directed graph's is.
+    sim.charge_scatter(base_.ranks(), static_cast<double>(g_.adj().nnz()) *
+                                          sim::sparse_entry_words<Weight>());
+  }
   // The adjacency and its transpose stay resident for the whole run; record
   // them with the simulated allocator so plan selection sees the memory that
   // is genuinely spoken for (plan_for subtracts the high-water mark).
@@ -42,7 +50,7 @@ DistEngine::DistEngine(sim::Sim& sim, const graph::Graph& g,
   for (int i = 0; i < pr; ++i) {
     for (int j = 0; j < pc; ++j) {
       const double entries = static_cast<double>(adj_.block(i, j).nnz()) +
-                             static_cast<double>(adj_t_.block(i, j).nnz());
+                             static_cast<double>(adj_t().block(i, j).nnz());
       sim.note_resident(base_.rank_at(i, j),
                         entries * sim::sparse_entry_words<Weight>());
       rank_nnz[static_cast<std::size_t>(base_.rank_at(i, j))] += entries;
@@ -85,7 +93,7 @@ std::vector<double> DistEngine::run(const ShellRun& spec, DistBcStats* stats,
   };
   hooks.lost_block_words = [&](int i, int j) {
     return (static_cast<double>(adj_.block(i, j).nnz()) +
-            static_cast<double>(adj_t_.block(i, j).nnz())) *
+            static_cast<double>(adj_t().block(i, j).nnz())) *
            sim::sparse_entry_words<Weight>();
   };
   int seen_shrinks = 0;
@@ -109,6 +117,7 @@ std::vector<double> DistEngine::run(const ShellRun& spec, DistBcStats* stats,
   // accumulation order must not depend on the labels) before the driver
   // slices batches. λ comes back in permuted ids and is inverted below.
   run_ops_ = dist::DistSpgemmStats{};
+  cache_bytes_ = 0;
   const std::vector<vid_t> sources =
       part_.map_sources(resolve_sources(g_.n(), spec.sources));
   BatchDriverStats driver_stats;
@@ -151,6 +160,8 @@ std::vector<double> DistEngine::run(const ShellRun& spec, DistBcStats* stats,
   const double imb_ops = run_ops_.ops_imbalance(sim_.nranks());
   telemetry::gauge("dist.imbalance.ops", imb_ops);
   telemetry::gauge("dist.imbalance.nnz", imb_nnz_);
+  telemetry::gauge(prefix_ + ".home_cache_bytes",
+                   static_cast<double>(cache_bytes_));
   if (stats != nullptr) {
     stats->batch_retries += driver_stats.batch_retries;
     stats->resumed_batches += driver_stats.resumed_batches;
@@ -167,7 +178,7 @@ dist::Plan DistEngine::plan_for(Sweep sweep, const Step& step,
   const ShellRun& spec = *run_;
   if (spec.fixed_plan) return *spec.fixed_plan;
   double b_nnz = static_cast<double>(
-      (sweep == Sweep::kForward ? adj_ : adj_t_).nnz());
+      (sweep == Sweep::kForward ? adj_ : adj_t()).nnz());
   // Version-stable planning (docs/serving.md): quantize the stationary
   // operand's nnz to its power-of-two band representative so plan choice —
   // and with it the summation grid of every unaffected batch — cannot drift

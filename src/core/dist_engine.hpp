@@ -4,7 +4,9 @@
 // (DESIGN.md §2): the BFS primitive, the plan space, weighted graphs.
 // Everything around their per-batch algorithm is written once, here:
 //   * ingest — partition relabeling, A and then Aᵀ scattered onto the
-//     near-square base grid, the resident-words notes, dist.imbalance.nnz;
+//     near-square base grid (an undirected graph's Aᵀ reads A's blocks and
+//     only its scatter is charged), the resident-words notes,
+//     dist.imbalance.nnz;
 //   * run() wiring — the tuner observer, the recovery hooks and the
 //     durable-checkpoint graph signature for the shared batch driver
 //     (core/batch_driver.hpp), source mapping and result unpermuting;
@@ -13,11 +15,13 @@
 //   * the multiply step — plan, dist::spgemm against A or Aᵀ through its
 //     plan-home cache, per-rank ops and the frontier trace;
 //   * phase accounting — the batch and phase spans, the critical-path cost
-//     of each phase, and the per-phase counters.
+//     of each phase, the per-phase counters, and the
+//     `<prefix>.home_cache_bytes` gauge.
 // Engines hand their choices in as values (ShellRun, the telemetry
 // prefix); nothing here asks which engine is calling.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -148,24 +152,29 @@ class DistEngine {
 
   /// Plan `step`, multiply `frontier` by the sweep's operand (A or Aᵀ)
   /// through its plan-home cache, deliver on `out`, and record the plan,
-  /// the per-rank ops and the sweep's trace. Called from a BatchFn only.
+  /// the per-rank ops and the sweep's trace. The multiply consumes the
+  /// frontier, freeing it as soon as it is mapped. Called from a BatchFn
+  /// only.
   template <algebra::Monoid M, typename TA, typename F>
   dist::DistMatrix<typename M::value_type> multiply(
-      Sweep sweep, const Step& step, const dist::DistMatrix<TA>& frontier,
-      F f, const dist::Layout& out) {
+      Sweep sweep, const Step& step, dist::DistMatrix<TA> frontier, F f,
+      const dist::Layout& out) {
+    const sparse::nnz_t frontier_nnz = frontier.nnz();
     const dist::Plan plan =
-        plan_for(sweep, step, static_cast<double>(frontier.nnz()));
+        plan_for(sweep, step, static_cast<double>(frontier_nnz));
     note_plan(plan);
     const bool fwd = sweep == Sweep::kForward;
     dist::DistSpgemmStats dst;
     dist::DistMatrix<typename M::value_type> product = dist::spgemm<M>(
-        sim_, plan, frontier, fwd ? adj_ : adj_t_, f, out, &dst,
+        sim_, plan, std::move(frontier), fwd ? adj_ : adj_t(), f, out, &dst,
         fwd ? &adj_cache_ : &adj_t_cache_);
     run_ops_.merge(dst);
+    cache_bytes_ = std::max(cache_bytes_,
+                            adj_cache_.bytes() + adj_t_cache_.bytes());
     if (stats_ != nullptr) {
       FrontierTrace& trace = fwd ? stats_->forward : stats_->backward;
       if (step.iteration) {
-        trace.frontier_nnz.push_back(frontier.nnz());
+        trace.frontier_nnz.push_back(frontier_nnz);
         trace.product_nnz.push_back(product.nnz());
       }
       trace.total_ops += static_cast<sparse::nnz_t>(dst.total_ops);
@@ -184,6 +193,10 @@ class DistEngine {
   dist::Plan plan_for(Sweep sweep, const Step& step,
                       double frontier_nnz) const;
   void note_plan(const dist::Plan& plan);
+  /// Aᵀ; an undirected graph's adjacency is symmetric, so it is A itself.
+  const dist::DistMatrix<graph::Weight>& adj_t() const {
+    return g_.directed() ? adj_t_ : adj_;
+  }
 
   sim::Sim& sim_;
   std::string prefix_;
@@ -192,11 +205,15 @@ class DistEngine {
   const graph::Graph& g_; ///< the graph the engine computes on (gp_ or caller's)
   dist::Layout base_;                  ///< near-square grid over all ranks
   dist::DistMatrix<graph::Weight> adj_;       ///< A
-  dist::DistMatrix<graph::Weight> adj_t_;     ///< Aᵀ
-  dist::HomeCache<graph::Weight> adj_cache_;  ///< plan-home copies of A
+  dist::DistMatrix<graph::Weight> adj_t_;     ///< Aᵀ of a directed graph
+  /// Plan-home copies of A and of Aᵀ. Kept apart even when A = Aᵀ: each
+  /// re-home is charged on its own.
+  dist::HomeCache<graph::Weight> adj_cache_;
   dist::HomeCache<graph::Weight> adj_t_cache_;
   double imb_nnz_ = 1.0;  ///< measured per-rank resident-nnz imbalance
   dist::DistSpgemmStats run_ops_;  ///< per-rank ops across the run's multiplies
+  /// The run's most host bytes held by the two plan-home caches together.
+  std::size_t cache_bytes_ = 0;
   /// The current run() (null outside one).
   const ShellRun* run_ = nullptr;
   DistBcStats* stats_ = nullptr;

@@ -266,6 +266,16 @@ class DistMatrix {
     return total;
   }
 
+  /// Host bytes of the blocks' row pointers, column indices and values.
+  std::size_t bytes() const {
+    std::size_t total = 0;
+    for (const auto& b : blocks_) {
+      total += b.rowptr().size_bytes() + b.col().size_bytes() +
+               b.val().size_bytes();
+    }
+    return total;
+  }
+
   nnz_t max_block_nnz() const {
     nnz_t mx = 0;
     for (const auto& b : blocks_) mx = std::max(mx, b.nnz());

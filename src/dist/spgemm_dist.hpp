@@ -10,8 +10,9 @@
 // Every variant charges the α–β ledger at each collective with the payload
 // it carries, counted from the blocks it executes on, so measured
 // critical-path costs come out of execution rather than out of the model.
-// Operand mapping builds each home's blocks; the 2D steps' broadcasts and a
-// 3D-A plan's layer replicas read the sending rank's blocks in place. The
+// Operand mapping builds each home's blocks; the 2D steps' broadcasts and
+// the layer replicas of a replicated operand (A of a 3D-A plan, B of a 1D-B
+// or 3D-B plan) read the sending rank's blocks in place. The
 // §5.2 closed forms live in cost_model.hpp and are used only for *plan
 // selection* (§6.2), as in CTF.
 //
@@ -20,9 +21,11 @@
 #pragma once
 
 #include <algorithm>
+#include <deque>
 #include <iterator>
 #include <numeric>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "algebra/centpath.hpp"
@@ -242,27 +245,6 @@ void charge_replication(sim::Sim& sim, const DistMatrix<T>& layer0,
   }
 }
 
-/// Layer 0's matrix on every layer's layout, charged as charge_replication:
-/// the per-layer B homes a HomeCache keeps. Layer 0's entry is `layer0`
-/// itself; the others are copies.
-template <typename T>
-std::vector<DistMatrix<T>> replicate_layers(sim::Sim& sim, DistMatrix<T> layer0,
-                                            const std::vector<Layout>& layouts) {
-  charge_replication(sim, layer0, layouts);
-  std::vector<DistMatrix<T>> out;
-  out.reserve(layouts.size());
-  for (std::size_t l = 1; l < layouts.size(); ++l) {
-    const Layout& lt = layouts[l];
-    DistMatrix<T> copy(layer0.nrows(), layer0.ncols(), lt);
-    for (int i = 0; i < lt.pr; ++i) {
-      for (int j = 0; j < lt.pc; ++j) copy.block(i, j) = layer0.block(i, j);
-    }
-    out.push_back(std::move(copy));
-  }
-  out.insert(out.begin(), std::move(layer0));
-  return out;
-}
-
 /// Entries of block (i,j) of `m` in global rows `r`.
 template <typename T>
 nnz_t nnz_in_rows(const DistMatrix<T>& m, int i, int j, Range r) {
@@ -287,8 +269,9 @@ nnz_t nnz_in_cols(const DistMatrix<T>& m, int i, int j, Range r) {
 
 /// One layer's 2D multiply on the p2×p3 grid of ranks starting at `rank0`.
 /// The operands must sit on homes_2d layouts of that grid up to their rank
-/// offset — the layers of a 3D-A plan all read layer 0's copy of A. Only
-/// plan.v2 and the schedule fields of `plan` are read.
+/// offset — the layers of a 3D-A plan all read layer 0's copy of A, and
+/// those of a 1D-B or 3D-B plan layer 0's copy of B. Only plan.v2 and the
+/// schedule fields of `plan` are read.
 ///
 /// Each variant cuts one dimension into lcm(p2,p3) steps: AB the inner k,
 /// AC the rows of A and C, BC the columns of B and C. The driver computes
@@ -562,43 +545,69 @@ DistMatrix<typename M::value_type> spgemm_2d(sim::ChargeLog& log,
 /// realizes that amortization: the first multiply with a given plan pays the
 /// redistribution/replication of B, subsequent multiplies reuse the copies
 /// for free.
+///
+/// One host copy serves every home it was inserted under. The layer homes
+/// of a replicated B (1D-B and 3D-B plans) differ only in rank offset, so
+/// find() returns layer 0's copy for each of them, laid out on layer 0's
+/// ranks; detail::spgemm_2d takes its layer's first rank apart from the
+/// operands it reads. Copies are never written after insert, so sharing one
+/// changes nothing a simulated rank reads. A one-layer multiply whose B
+/// already sits on its home reads B in place and stores nothing.
 template <typename T>
 class HomeCache {
  public:
+  /// The copy stored under home `l`, or null.
   const DistMatrix<T>* find(const Layout& l) const {
-    for (const auto& [layout, m] : entries_) {
-      if (layout == l) return &m;
+    for (const auto& [home, copy] : homes_) {
+      if (home == l) return &copies_[copy];
     }
     return nullptr;
   }
 
-  /// Pointers from find() stay valid until the next insert or clear.
-  void insert(Layout l, DistMatrix<T> m) {
-    entries_.emplace_back(std::move(l), std::move(m));
+  /// Store `m` once, under every layout in `homes`. Pointers from find()
+  /// stay valid until clear().
+  void insert(std::span<const Layout> homes, DistMatrix<T> m) {
+    bytes_ += m.bytes();
+    copies_.push_back(std::move(m));
+    for (const Layout& h : homes) homes_.emplace_back(h, copies_.size() - 1);
   }
 
-  void clear() { entries_.clear(); }
+  /// Host bytes of the stored blocks, each shared copy counted once.
+  std::size_t bytes() const { return bytes_; }
+
+  void clear() {
+    homes_.clear();
+    copies_.clear();
+    bytes_ = 0;
+  }
 
  private:
-  std::vector<std::pair<Layout, DistMatrix<T>>> entries_;
+  std::deque<DistMatrix<T>> copies_;  ///< a deque keeps their addresses
+  std::vector<std::pair<Layout, std::size_t>> homes_;  ///< home → copy
+  std::size_t bytes_ = 0;
 };
 
-/// Distributed C = A •⟨⊕,f⟩ B following `plan`; the result is delivered on
-/// `out_layout`. Operands may be on any layout — they are remapped to the
-/// plan's home layouts first (CTF's mapping step), with every move charged.
+namespace detail {
+
+/// dist::spgemm's body. It reads `a` in place; `consumed`, when set, is
+/// `a` itself, handed over by the caller and released as soon as nothing
+/// reads it.
 template <algebra::Monoid M, typename TA, typename TB, typename F>
-DistMatrix<typename M::value_type> spgemm(sim::Sim& sim, const Plan& plan,
-                                          const DistMatrix<TA>& a,
-                                          const DistMatrix<TB>& b, F f,
-                                          Layout out_layout,
-                                          DistSpgemmStats* st = nullptr,
-                                          HomeCache<TB>* b_cache = nullptr) {
+DistMatrix<typename M::value_type> run_spgemm(
+    sim::Sim& sim, const Plan& plan, const DistMatrix<TA>& a,
+    DistMatrix<TA>* consumed, const DistMatrix<TB>& b, F f, Layout out_layout,
+    DistSpgemmStats* st, HomeCache<TB>* b_cache) {
   using TC = typename M::value_type;
   // Redistribution never merges: operands are rebuilt keep-first.
   using sparse::KeepFirst;
   MFBC_CHECK(a.ncols() == b.nrows(), "spgemm inner dimension mismatch");
   MFBC_CHECK(plan.total_ranks() <= sim.nranks(),
              "plan uses more ranks than the simulated machine has");
+  // What telemetry, the observer and delivery need of A, read before a
+  // consumed A is released.
+  const vid_t a_nrows = a.nrows();
+  const vid_t a_ncols = a.ncols();
+  const nnz_t a_nnz = a.nnz();
 
   // One telemetry span per distributed multiply: plan, operand/result nnz,
   // and the ledger's critical-path delta over the multiply. The delta attrs
@@ -608,7 +617,7 @@ DistMatrix<typename M::value_type> spgemm(sim::Sim& sim, const Plan& plan,
   std::optional<sim::Cost> tele_before;
   if (tele_span.active()) {
     tele_span.attr("plan", plan.to_string());
-    tele_span.attr("nnz_a", static_cast<std::int64_t>(a.nnz()));
+    tele_span.attr("nnz_a", static_cast<std::int64_t>(a_nnz));
     tele_span.attr("nnz_b", static_cast<std::int64_t>(b.nnz()));
     tele_before = sim.ledger().critical();
   }
@@ -636,12 +645,12 @@ DistMatrix<typename M::value_type> spgemm(sim::Sim& sim, const Plan& plan,
     if (obs != nullptr && obs_before.has_value()) {
       tune::Observation o;
       o.plan = plan;
-      o.nnz_a = static_cast<double>(a.nnz());
+      o.nnz_a = static_cast<double>(a_nnz);
       o.nnz_b = static_cast<double>(b.nnz());
       o.nnz_c = static_cast<double>(c.nnz());
       o.ops = st->total_ops - obs_ops_before;
       const auto est = MultiplyStats::estimated(
-          a.nrows(), a.ncols(), b.ncols(), o.nnz_a, o.nnz_b,
+          a_nrows, a_ncols, b.ncols(), o.nnz_a, o.nnz_b,
           sim::sparse_entry_words<TA>(), sim::sparse_entry_words<TB>(),
           sim::sparse_entry_words<TC>());
       o.est_ops = est.ops;
@@ -678,59 +687,63 @@ DistMatrix<typename M::value_type> spgemm(sim::Sim& sim, const Plan& plan,
         case Variant1D::kC: lrk = split_range(rk, p1, l); break;
       }
     }
-    auto h = detail::homes_2d(plan.v2, l * layer_sz, p2, p3, lrm, lrk, lrn);
+    auto h = homes_2d(plan.v2, l * layer_sz, p2, p3, lrm, lrk, lrn);
     a_homes.push_back(h.a);
     b_homes.push_back(h.b);
   }
 
-  // Per-layer operands are read through pointers: into the fresh copies
-  // mapped here, into the HomeCache, or at `a` itself when it already sits
-  // on layer 0's home.
+  // Per-layer operands are read through pointers: into the copies mapped
+  // here, into the HomeCache, or at the operand itself when it already sits
+  // on layer 0's home. A replicated operand (A of a 3D-A plan, B of a 1D-B or
+  // 3D-B plan) has one copy, on layer 0's home, that every layer reads; its
+  // replication is charged, not copied.
   std::vector<DistMatrix<TA>> a_fresh;
   std::vector<DistMatrix<TB>> b_fresh;
   std::vector<const DistMatrix<TA>*> as;
   std::vector<const DistMatrix<TB>*> bs;
 
   // B-side mapping, with optional amortization through the cache: if every
-  // per-layer copy of B for this plan is cached, reuse them for free;
-  // otherwise map (charging) and move the copies into the cache.
+  // per-layer home of B for this plan is cached, read them for free;
+  // otherwise map (charging) and move the copies into the cache. A
+  // one-layer plan whose B already sits on its home reads it in place and
+  // caches nothing: that mapping is free, cached or not.
+  const bool b_split = p1 > 1 && plan.v1 != Variant1D::kB;  // kA and kC
   auto map_b = [&]() {
-    if (b_cache != nullptr) {
-      bool all_cached = true;
-      for (const Layout& h : b_homes) {
-        if (b_cache->find(h) == nullptr) {
-          all_cached = false;
-          break;
-        }
-      }
-      if (all_cached) {
-        for (const Layout& h : b_homes) bs.push_back(b_cache->find(h));
-        return;
-      }
-    }
-    if (p1 == 1) {
-      b_fresh.push_back(redistribute<KeepFirst<TB>>(sim, b, b_homes[0]));
-    } else if (plan.v1 == Variant1D::kB) {
-      b_fresh = detail::replicate_layers(
-          sim, redistribute<KeepFirst<TB>>(sim, b, b_homes[0]), b_homes);
-    } else {
-      b_fresh = detail::split_to<KeepFirst<TB>>(sim, b, b_homes);
-    }
-    if (b_cache == nullptr) {
-      for (const auto& m : b_fresh) bs.push_back(&m);
+    if (p1 == 1 && b.layout() == b_homes[0]) {
+      bs.push_back(&b);
       return;
     }
-    for (std::size_t l = 0; l < b_homes.size(); ++l) {
-      b_cache->insert(b_homes[l], std::move(b_fresh[l]));
+    if (b_cache != nullptr &&
+        std::all_of(b_homes.begin(), b_homes.end(), [&](const Layout& h) {
+          return b_cache->find(h) != nullptr;
+        })) {
+      for (const Layout& h : b_homes) bs.push_back(b_cache->find(h));
+      return;
     }
-    // An insert may move the cache's entries, so look them up after the
-    // last one.
+    if (b_split) {
+      b_fresh = split_to<KeepFirst<TB>>(sim, b, b_homes);
+    } else {
+      b_fresh.push_back(redistribute<KeepFirst<TB>>(sim, b, b_homes[0]));
+      charge_replication(sim, b_fresh[0], b_homes);
+    }
+    if (b_cache == nullptr) {
+      for (std::size_t l = 0; l < b_homes.size(); ++l) {
+        bs.push_back(&b_fresh[b_split ? l : 0]);
+      }
+      return;
+    }
+    const std::span<const Layout> homes(b_homes);
+    for (std::size_t x = 0; x < b_fresh.size(); ++x) {
+      b_cache->insert(b_split ? homes.subspan(x, 1) : homes,
+                      std::move(b_fresh[x]));
+    }
+    b_fresh.clear();
     for (const Layout& h : b_homes) bs.push_back(b_cache->find(h));
   };
   map_b();
 
   if (p1 > 1 && plan.v1 != Variant1D::kA) {  // kB and kC both split A
-    a_fresh = detail::split_to<KeepFirst<TA>>(sim, a, a_homes);
+    a_fresh = split_to<KeepFirst<TA>>(sim, a, a_homes);
     for (const auto& m : a_fresh) as.push_back(&m);
   } else {
     // Every layer reads layer 0's home in place (a 3D-A plan charges the
@@ -740,9 +753,11 @@ DistMatrix<typename M::value_type> spgemm(sim::Sim& sim, const Plan& plan,
       a0 = &a_fresh.emplace_back(
           redistribute<KeepFirst<TA>>(sim, a, a_homes[0]));
     }
-    detail::charge_replication(sim, *a0, a_homes);
+    charge_replication(sim, *a0, a_homes);
     as.assign(static_cast<std::size_t>(p1), a0);
   }
+  // A consumed A that the layers do not read in place is done with.
+  if (consumed != nullptr && !a_fresh.empty()) *consumed = DistMatrix<TA>{};
   map_span.end();
 
   // Layers are independent rank groups; run them concurrently, each charging
@@ -758,9 +773,9 @@ DistMatrix<typename M::value_type> spgemm(sim::Sim& sim, const Plan& plan,
     support::parallel_for_replay(
         cs.size(),
         [&](std::size_t l) {
-          cs[l] = detail::spgemm_2d<M>(
-              layer_logs[l], plan, static_cast<int>(l) * layer_sz, *as[l],
-              *bs[l], f, st != nullptr ? &layer_stats[l] : nullptr);
+          cs[l] = spgemm_2d<M>(layer_logs[l], plan,
+                               static_cast<int>(l) * layer_sz, *as[l], *bs[l],
+                               f, st != nullptr ? &layer_stats[l] : nullptr);
         },
         [&](std::size_t l) {
           layer_logs[l].replay(sim);
@@ -768,6 +783,10 @@ DistMatrix<typename M::value_type> spgemm(sim::Sim& sim, const Plan& plan,
           // per-rank vectors gives the exact fleet-wide max.
           if (st != nullptr) st->merge(layer_stats[l]);
         });
+    // Nothing reads the mapped copies, or a consumed A, past the layers.
+    a_fresh.clear();
+    b_fresh.clear();
+    if (consumed != nullptr) *consumed = DistMatrix<TA>{};
   }
 
   telemetry::Span deliver_span("dist.spgemm.deliver");
@@ -792,11 +811,43 @@ DistMatrix<typename M::value_type> spgemm(sim::Sim& sim, const Plan& plan,
     }
     cs.resize(1);
   }
-  DistMatrix<TC> c = detail::merge_to<M>(sim, a.nrows(), b.ncols(),
-                                         std::move(cs), out_layout);
+  DistMatrix<TC> c =
+      merge_to<M>(sim, a_nrows, b.ncols(), std::move(cs), out_layout);
   abft_verify<M>(sim, c);
   deliver_span.end();
   return tele_finish(std::move(c));
+}
+
+}  // namespace detail
+
+/// Distributed C = A •⟨⊕,f⟩ B following `plan`; the result is delivered on
+/// `out_layout`. Operands may be on any layout — they are remapped to the
+/// plan's home layouts first (CTF's mapping step), with every move charged.
+template <algebra::Monoid M, typename TA, typename TB, typename F>
+DistMatrix<typename M::value_type> spgemm(sim::Sim& sim, const Plan& plan,
+                                          const DistMatrix<TA>& a,
+                                          const DistMatrix<TB>& b, F f,
+                                          Layout out_layout,
+                                          DistSpgemmStats* st = nullptr,
+                                          HomeCache<TB>* b_cache = nullptr) {
+  return detail::run_spgemm<M>(sim, plan, a,
+                               static_cast<DistMatrix<TA>*>(nullptr), b, f,
+                               out_layout, st, b_cache);
+}
+
+/// As above, consuming A: its blocks are freed as soon as nothing reads
+/// them, once its layer homes are built or, when the layers read A in
+/// place, once they are done. The product and every charge are the same
+/// as the const& overload's.
+template <algebra::Monoid M, typename TA, typename TB, typename F>
+DistMatrix<typename M::value_type> spgemm(sim::Sim& sim, const Plan& plan,
+                                          DistMatrix<TA>&& a,
+                                          const DistMatrix<TB>& b, F f,
+                                          Layout out_layout,
+                                          DistSpgemmStats* st = nullptr,
+                                          HomeCache<TB>* b_cache = nullptr) {
+  return detail::run_spgemm<M>(sim, plan, a, &a, b, f, out_layout, st,
+                               b_cache);
 }
 
 /// Convenience overload: autotune the plan (§6.2) from the §5.2 estimates,

@@ -61,6 +61,23 @@ struct RawEdges {
   vid_t n = 0;
 };
 
+/// Whitespace as operator>> skips it in the classic locale.
+bool is_space(char c) {
+  return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' ||
+         c == '\r';
+}
+
+/// Copy the next whitespace-delimited token of `line` at or after `pos`
+/// into `tok` and move `pos` past it; false when no token is left.
+bool next_token(const std::string& line, std::size_t& pos, std::string& tok) {
+  while (pos < line.size() && is_space(line[pos])) ++pos;
+  if (pos == line.size()) return false;
+  const std::size_t start = pos;
+  while (pos < line.size() && !is_space(line[pos])) ++pos;
+  tok.assign(line, start, pos - start);
+  return true;
+}
+
 RawEdges parse_lines(std::istream& in, bool weighted, bool one_indexed,
                      const std::string& source) {
   RawEdges out;
@@ -70,14 +87,13 @@ RawEdges parse_lines(std::istream& in, bool weighted, bool one_indexed,
     if (inserted) ++out.n;
     return it->second;
   };
-  std::string line;
+  std::string line, ut, vt, wt;
   LineCtx ctx{source, 0};
   while (std::getline(in, line)) {
     ++ctx.line;
     if (line.empty() || line[0] == '#' || line[0] == '%') continue;
-    std::istringstream ls(line);
-    std::string ut, vt, wt;
-    if (!(ls >> ut >> vt)) {
+    std::size_t pos = 0;
+    if (!next_token(line, pos, ut) || !next_token(line, pos, vt)) {
       ctx.fail("truncated edge (expected 'u v" +
                std::string(weighted ? " w" : "") + "'): '" + line + "'");
     }
@@ -85,7 +101,9 @@ RawEdges parse_lines(std::istream& in, bool weighted, bool one_indexed,
     vid_t v = parse_vid(vt, ctx, "vertex id");
     double w = 1.0;
     if (weighted) {
-      if (!(ls >> wt)) ctx.fail("missing edge weight: '" + line + "'");
+      if (!next_token(line, pos, wt)) {
+        ctx.fail("missing edge weight: '" + line + "'");
+      }
       w = parse_weight(wt, ctx);
     }
     if (one_indexed) {

@@ -154,7 +154,7 @@ void DistMfbc::run_batch(const std::vector<vid_t>& batch_sources,
       DistMatrix<Multpath> product = shell_.multiply<MultpathMonoid>(
           Sweep::kForward,
           {"forward", "multpath", sim::sparse_entry_words<Multpath>()},
-          frontier, BellmanFordAction{}, sl);
+          std::move(frontier), BellmanFordAction{}, sl);
       // Local accumulate-and-filter (lines 5–6): T ⊕= G, next frontier keeps
       // entries whose path information improved or tied with new paths.
       // Each (i,j) task touches only its own batch block and bin; compute
@@ -238,7 +238,7 @@ void DistMfbc::run_batch(const std::vector<vid_t>& batch_sources,
           Sweep::kBackward,
           {"backward.count", "centpath", sim::sparse_entry_words<Centpath>(),
            /*iteration=*/false},
-          z0, BrandesAction{}, sl);
+          std::move(z0), BrandesAction{}, sl);
       support::parallel_for_replay(
           nblocks,
           [&](std::size_t t) {
@@ -303,7 +303,7 @@ void DistMfbc::run_batch(const std::vector<vid_t>& batch_sources,
       DistMatrix<Centpath> product = shell_.multiply<CentpathMonoid>(
           Sweep::kBackward,
           {"backward", "centpath", sim::sparse_entry_words<Centpath>()},
-          cfrontier, BrandesAction{}, sl);
+          std::move(cfrontier), BrandesAction{}, sl);
       auto bins = dist::empty_bins<Centpath>(sl, n);
       support::parallel_for_replay(
           nblocks,

@@ -7,8 +7,10 @@
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
 #include "graph/metrics.hpp"
+#include "graph/mutate.hpp"
 #include "graph/prep.hpp"
 #include "graph/snap_proxy.hpp"
+#include "sparse/ops.hpp"
 #include "support/error.hpp"
 
 namespace mfbc::graph {
@@ -21,6 +23,45 @@ TEST(Graph, UndirectedStoresBothDirections) {
   EXPECT_EQ(g.m(), 2);
   EXPECT_EQ(g.nnz(), 4);
   EXPECT_EQ(g.out_degree(1), 2);
+}
+
+TEST(Graph, UndirectedAdjacencyIsItsOwnTranspose) {
+  // The distributed engines read an undirected graph's Aᵀ from A, so every
+  // way of building one must leave its adjacency symmetric, weights too.
+  const Graph g = erdos_renyi(40, 120, false, {true, 1, 50}, 3);
+  vid_t absent_v = 1;
+  while (g.has_edge(0, absent_v)) ++absent_v;
+  const vid_t present_v = g.adj().row_cols(1)[0];
+  MutationBatch batch;
+  batch.mutations = {Mutation::add(0, absent_v, 7.5),
+                     Mutation::remove(1, present_v)};
+  std::vector<vid_t> perm(static_cast<std::size_t>(g.n()));
+  for (vid_t v = 0; v < g.n(); ++v) {
+    perm[static_cast<std::size_t>(v)] = (v * 7 + 3) % g.n();
+  }
+  const std::vector<vid_t> some = {0, 5, 9, 12, 20, 33, 39};
+  std::stringstream text("0 1 2\n1 0 5\n1 2 3\n2 3 1.5\n");
+  const std::pair<const char*, Graph> built[] = {
+      {"from_edges", g},
+      {"from_edges, parallel edges in both directions",
+       Graph::from_edges(4, {{0, 1, 2.0}, {1, 0, 5.0}, {1, 2, 3.0}}, false,
+                         true)},
+      {"read_edge_list",
+       read_edge_list(text, {.directed = false, .weighted = true})},
+      {"add_edge", g.add_edge(0, absent_v, 4.25)},
+      {"remove_edge", g.remove_edge(1, present_v)},
+      {"apply", g.apply(batch)},
+      {"remove_isolated", remove_isolated(g)},
+      {"random_relabel", random_relabel(g, 11)},
+      {"relabel", relabel(g, perm)},
+      {"symmetrize", symmetrize(erdos_renyi(30, 90, true, {true, 1, 9}, 5))},
+      {"largest_component", largest_component(g)},
+      {"induced_subgraph", induced_subgraph(g, some)},
+  };
+  for (const auto& [how, h] : built) {
+    EXPECT_FALSE(h.directed()) << how;
+    EXPECT_EQ(sparse::transpose(h.adj()), h.adj()) << how;
+  }
 }
 
 TEST(Graph, DirectedStoresOneDirection) {
@@ -246,6 +287,35 @@ TEST(Io, EdgeListCommentsAndCompaction) {
 TEST(Io, MalformedEdgeListThrows) {
   std::stringstream ss("1 banana\n");
   EXPECT_THROW(read_edge_list(ss, {}), Error);
+}
+
+TEST(Io, EdgeListWhitespaceVariants) {
+  // Tokens split on the whitespace operator>> skips in the classic locale:
+  // tabs, CRLF line ends, runs of spaces, leading whitespace, \v and \f.
+  // Tokens past the ones a line needs are ignored.
+  auto read = [](const std::string& text, bool weighted) {
+    std::stringstream ss(text);
+    return read_edge_list(ss, {.directed = true, .weighted = weighted});
+  };
+  const Graph clean = read("10 20\n20 30\n30 40\n40 50\n50 60\n60 10\n", false);
+  const Graph messy = read(
+      "10\t20\r\n20    30\r\n  \t30 40\n40 50 7 extra tokens\n"
+      "50\v60\f\n\t60\t \t10\t\r\n",
+      false);
+  EXPECT_EQ(messy.n(), clean.n());
+  EXPECT_EQ(messy.adj(), clean.adj());
+
+  const Graph wclean = read("1 2 2.5\n2 3 0.5\n3 4 4\n4 1 1e1\n", true);
+  const Graph wmessy = read(
+      "1\t2\t2.5\r\n2  3   0.5 trailing words\n \t 3 4 4\r\n\f4\v1 1e1 9\n",
+      true);
+  EXPECT_EQ(wmessy.n(), wclean.n());
+  EXPECT_EQ(wmessy.adj(), wclean.adj());
+
+  // A line of whitespace alone is still a truncated edge, and a weight
+  // cut off by a CR is still missing.
+  EXPECT_THROW(read("1 2\n \t\r\n", false), Error);
+  EXPECT_THROW(read("1 2\r\n", true), Error);
 }
 
 TEST(Io, MatrixMarketRoundTrip) {

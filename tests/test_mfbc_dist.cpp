@@ -10,7 +10,9 @@
 #include "baseline/brandes.hpp"
 #include "graph/generators.hpp"
 #include "mfbc/mfbc_dist.hpp"
+#include "sparse/ops.hpp"
 #include "support/error.hpp"
+#include "telemetry/registry.hpp"
 
 namespace mfbc::core {
 namespace {
@@ -162,6 +164,38 @@ TEST(DistMfbc, AdjacencyReplicationIsAmortizedAcrossBatches) {
   const double one = words_for_batches(1);
   const double two = words_for_batches(2);
   EXPECT_LT(two, 2.0 * one);
+}
+
+TEST(DistMfbc, HomeCacheHoldsOneCopyOfEachReplicatedOperand) {
+#if MFBC_TELEMETRY
+  // CA-MFBC with c = 4 on 16 ranks replicates A (forward) and Aᵀ (backward)
+  // over four layers; the plan-home caches hold one copy of each, on layer
+  // 0's home.
+  for (const bool directed : {false, true}) {
+    const Graph g = graph::erdos_renyi(48, 200, directed, {true, 1, 9}, 61);
+    sim::Sim sim(16);
+    DistMfbc engine(sim, g);
+    DistMfbcOptions opts;
+    opts.batch_size = 12;
+    opts.plan_mode = PlanMode::kFixedCa;
+    opts.replication_c = 4;
+    DistMfbcStats stats;
+    engine.run(opts, &stats);
+    ASSERT_EQ(stats.plans_used, std::vector<std::string>{"3D-B,AC[4x2x2]"});
+    const dist::Layout home{0, 2, 2, dist::Range{0, g.n()},
+                            dist::Range{0, g.n()}, false};
+    using Adj = dist::DistMatrix<graph::Weight>;
+    const Adj a =
+        Adj::scatter<algebra::TropicalMinMonoid>(sim, g.adj(), home);
+    const Adj at = Adj::scatter<algebra::TropicalMinMonoid>(
+        sim, sparse::transpose(g.adj()), home);
+    EXPECT_EQ(telemetry::registry().value("mfbc.home_cache_bytes"),
+              static_cast<double>(a.bytes() + at.bytes()))
+        << (directed ? "directed" : "undirected");
+  }
+#else
+  GTEST_SKIP() << "telemetry is compiled out";
+#endif
 }
 
 TEST(DistMfbc, RunsAreDeterministic) {

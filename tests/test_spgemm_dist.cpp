@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <string>
 
@@ -479,6 +480,191 @@ TEST(DistSpgemmBits, ProductsAndChargesHoldPerShape) {
                   got.crit.compute_seconds == pin.compute_seconds)
           << "at " << threads << " threads, measured\n"
           << bit_pin_row(pin, got);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// One host copy per operand
+
+/// Every charge the ledger sees, in order: kind, rank (or group size),
+/// ops (or words), msgs and seconds.
+struct ChargeTape : sim::CostSink {
+  std::vector<std::array<double, 5>> events;
+  void on_collective(int nranks, double words, double msgs,
+                     double seconds) override {
+    events.push_back({0, static_cast<double>(nranks), words, msgs, seconds});
+  }
+  void on_compute(int rank, double ops, double seconds) override {
+    events.push_back({1, static_cast<double>(rank), ops, 0, seconds});
+  }
+  void on_overlap_credit(int rank, double seconds) override {
+    events.push_back({2, static_cast<double>(rank), 0, 0, seconds});
+  }
+};
+
+TEST(DistSpgemm, ReplicatedHomesShareOneCopy) {
+  // A 1D-B or 3D-B plan maps B onto layer 0's home once and charges its
+  // replication. The cache keeps that one copy under every layer's home,
+  // and the product and charges are the uncached multiply's.
+  const Csr<double> a = nondyadic_csr(kPinM, kPinK, 0.3, 31);
+  const Csr<double> b = nondyadic_csr(kPinK, kPinN, 0.3, 37);
+  const Range rm{0, kPinM}, rk{0, kPinK}, rn{0, kPinN};
+  const std::pair<Plan, const char*> cases[] = {
+      {{4, 1, 1, Variant1D::kB, Variant2D::kAB}, "1D-B[4]"},
+      {{2, 2, 2, Variant1D::kB, Variant2D::kAC}, "3D-B,AC[2x2x2]"},
+      {{2, 2, 2, Variant1D::kB, Variant2D::kAB}, "3D-B,AB[2x2x2]"}};
+  for (const auto& [plan, name] : cases) {
+    ASSERT_EQ(plan.to_string(), name);
+    const int p = plan.total_ranks();
+    auto run = [&](HomeCache<double>* cache) {
+      sim::Sim sim(p);
+      const Layout la{0, 1, p, rm, rk, false};
+      auto da = DistMatrix<double>::scatter<SumMonoid>(sim, a, la);
+      auto db = DistMatrix<double>::scatter<SumMonoid>(
+          sim, b, Layout{0, p, 1, rk, rn, false});
+      sim.ledger().reset();
+      auto dc = spgemm<SumMonoid>(sim, plan, da, db, Times{},
+                                  Layout{0, 1, p, rm, rn, false}, nullptr,
+                                  cache);
+      const sim::Cost crit = sim.ledger().critical();
+      return std::pair{csr_digest(dc.gather(sim)), crit};
+    };
+    HomeCache<double> cache;
+    const auto [plain, plain_crit] = run(nullptr);
+    const auto [cached, cached_crit] = run(&cache);
+    EXPECT_EQ(cached, plain) << name;
+    EXPECT_EQ(cached_crit.words, plain_crit.words) << name;
+    EXPECT_EQ(cached_crit.msgs, plain_crit.msgs) << name;
+    EXPECT_EQ(cached_crit.total_seconds(), plain_crit.total_seconds()) << name;
+
+    const DistMatrix<double>* copy = nullptr;
+    for (int l = 0; l < plan.p1; ++l) {
+      const Layout home = detail::homes_2d(plan.v2, l * plan.p2 * plan.p3,
+                                           plan.p2, plan.p3, rm, rk, rn)
+                              .b;
+      const DistMatrix<double>* found = cache.find(home);
+      ASSERT_NE(found, nullptr) << name << " layer " << l;
+      if (l == 0) {
+        copy = found;
+        EXPECT_EQ(copy->layout(), home) << name;
+      }
+      EXPECT_EQ(found, copy) << name << " layer " << l;
+    }
+    EXPECT_EQ(cache.bytes(), copy->bytes()) << name;
+    // Multiplies that hit the cache read the shared copy on every layer.
+    EXPECT_EQ(run(&cache).first, plain) << name;
+    EXPECT_EQ(cache.bytes(), copy->bytes()) << name;
+  }
+}
+
+TEST(DistSpgemm, OperandsOnTheirHomesAreNotCopied) {
+  // Operands already on a one-layer plan's homes are read in place: the
+  // cache stays empty, and product and charges are the uncached run's.
+  const Csr<double> a = nondyadic_csr(kPinM, kPinK, 0.3, 31);
+  const Csr<double> b = nondyadic_csr(kPinK, kPinN, 0.3, 37);
+  const Range rm{0, kPinM}, rk{0, kPinK}, rn{0, kPinN};
+  const Plan plan{1, 2, 2, Variant1D::kA, Variant2D::kAB};
+  const detail::Homes homes = detail::homes_2d(plan.v2, 0, 2, 2, rm, rk, rn);
+  auto run = [&](HomeCache<double>* cache) {
+    sim::Sim sim(4);
+    auto da = DistMatrix<double>::scatter<SumMonoid>(sim, a, homes.a);
+    auto db = DistMatrix<double>::scatter<SumMonoid>(sim, b, homes.b);
+    sim.ledger().reset();
+    auto dc =
+        spgemm<SumMonoid>(sim, plan, da, db, Times{}, homes.c, nullptr, cache);
+    const sim::Cost crit = sim.ledger().critical();
+    return std::pair{csr_digest(dc.gather(sim)), crit};
+  };
+  HomeCache<double> cache;
+  const auto [plain, plain_crit] = run(nullptr);
+  for (int i = 0; i < 2; ++i) {
+    const auto [cached, cached_crit] = run(&cache);
+    EXPECT_EQ(cached, plain);
+    EXPECT_EQ(cached_crit.words, plain_crit.words);
+    EXPECT_EQ(cached_crit.msgs, plain_crit.msgs);
+    EXPECT_EQ(cached_crit.total_seconds(), plain_crit.total_seconds());
+  }
+  EXPECT_EQ(cache.find(homes.b), nullptr);
+  EXPECT_EQ(cache.bytes(), 0u);
+}
+
+TEST(DistSpgemm, MovedOperandMatchesKeptOperand) {
+  // The rvalue overload frees A once nothing reads it; the product, the
+  // stats and every charge are the const& overload's. A starts on a row of
+  // ranks, or already on layer 0's home where a 1D-A, 2D or 3D-A plan's
+  // layers read it in place; B is mapped with and without a cache.
+  const Csr<Centpath> a = centpath_frontier(kPinM, kPinK, 0.3, 53);
+  const Csr<double> b = small_weights(kPinK, kPinN, 0.3, 59);
+  const Range rm{0, kPinM}, rk{0, kPinK}, rn{0, kPinN};
+  const Plan plans[] = {
+      {4, 1, 1, Variant1D::kA, Variant2D::kAB},
+      {4, 1, 1, Variant1D::kB, Variant2D::kAB},
+      {4, 1, 1, Variant1D::kC, Variant2D::kAB},
+      {1, 2, 2, Variant1D::kA, Variant2D::kAB},
+      {1, 2, 3, Variant1D::kA, Variant2D::kAC},
+      {1, 3, 2, Variant1D::kA, Variant2D::kBC},
+      {2, 2, 2, Variant1D::kA, Variant2D::kAB},
+      {2, 2, 2, Variant1D::kB, Variant2D::kAC},
+      {2, 2, 2, Variant1D::kC, Variant2D::kBC}};
+  struct Outcome {
+    std::uint64_t product = 0;
+    DistSpgemmStats st;
+    std::vector<std::array<double, 5>> charges;
+    sim::Cost crit;
+  };
+  for (const Plan& plan : plans) {
+    const int p = plan.total_ranks();
+    std::vector<Layout> starts{Layout{0, 1, p, rm, rk, false}};
+    if (plan.p1 == 1 || plan.v1 == Variant1D::kA) {
+      starts.push_back(
+          detail::homes_2d(plan.v2, 0, plan.p2, plan.p3, rm, rk, rn).a);
+    }
+    for (const Layout& start : starts) {
+      for (const bool cached : {false, true}) {
+        auto run = [&](bool move) {
+          sim::Sim sim(p);
+          auto da = DistMatrix<Centpath>::scatter<sparse::KeepFirst<Centpath>>(
+              sim, a, start);
+          auto db = DistMatrix<double>::scatter<SumMonoid>(
+              sim, b, Layout{0, p, 1, rk, rn, false});
+          sim.ledger().reset();
+          ChargeTape tape;
+          sim::CostSink* const prev = sim.ledger().set_sink(&tape);
+          HomeCache<double> cache;
+          HomeCache<double>* const c = cached ? &cache : nullptr;
+          const Layout lc{0, 1, p, rm, rn, false};
+          Outcome out;
+          auto dc = move ? spgemm<CentpathMonoid>(sim, plan, std::move(da), db,
+                                                  BrandesAction{}, lc,
+                                                  &out.st, c)
+                         : spgemm<CentpathMonoid>(sim, plan, da, db,
+                                                  BrandesAction{}, lc,
+                                                  &out.st, c);
+          sim.ledger().set_sink(prev);
+          EXPECT_EQ(da.bytes() == 0, move) << plan.to_string();
+          out.crit = sim.ledger().critical();
+          out.charges = std::move(tape.events);
+          out.product = csr_digest(dc.gather(sim));
+          return out;
+        };
+        const Outcome kept = run(false);
+        const Outcome moved = run(true);
+        const std::string where = plan.to_string() +
+                                  (start.pr == 1 && start.pc == p ? " from a row"
+                                                                  : " from home") +
+                                  (cached ? ", cached" : "");
+        EXPECT_EQ(moved.product, kept.product) << where;
+        EXPECT_EQ(moved.st.total_ops, kept.st.total_ops) << where;
+        EXPECT_EQ(moved.st.max_rank_ops, kept.st.max_rank_ops) << where;
+        EXPECT_EQ(moved.st.rank_ops, kept.st.rank_ops) << where;
+        EXPECT_EQ(moved.charges, kept.charges) << where;
+        EXPECT_EQ(moved.crit.words, kept.crit.words) << where;
+        EXPECT_EQ(moved.crit.msgs, kept.crit.msgs) << where;
+        EXPECT_EQ(moved.crit.comm_seconds, kept.crit.comm_seconds) << where;
+        EXPECT_EQ(moved.crit.compute_seconds, kept.crit.compute_seconds)
+            << where;
+      }
     }
   }
 }
