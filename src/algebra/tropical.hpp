@@ -33,12 +33,4 @@ struct SumMonoid {
   static bool is_identity(value_type a) { return a == 0.0; }
 };
 
-/// Tropical "multiplication": weight extension along an edge.
-struct TropicalTimes {
-  Weight operator()(Weight a, Weight b) const {
-    // ∞ + finite must stay ∞ (IEEE inf arithmetic already guarantees this).
-    return a + b;
-  }
-};
-
 }  // namespace mfbc::algebra

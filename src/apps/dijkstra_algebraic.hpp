@@ -21,9 +21,14 @@
 #include <span>
 #include <vector>
 
-#include "apps/traversal.hpp"
+#include "algebra/tropical.hpp"
+#include "graph/graph.hpp"
 
 namespace mfbc::apps {
+
+using algebra::Weight;
+using graph::Graph;
+using graph::vid_t;
 
 struct FrontierCost {
   int iterations = 0;          ///< bulk-synchronous multiplications
@@ -31,8 +36,9 @@ struct FrontierCost {
   sparse::nnz_t frontier_nnz_total = 0;
 };
 
-/// Batched shortest paths with settled (Dijkstra) frontiers. Results equal
-/// sssp_batch(); `cost` (optional) receives the iteration/work counters.
+/// Batched shortest paths with settled (Dijkstra) frontiers: row s of the
+/// dense nb×n result holds the distances from sources[s] (∞ if unreachable).
+/// `cost` (optional) receives the iteration/work counters.
 std::vector<Weight> sssp_batch_dijkstra(const Graph& g,
                                         std::span<const vid_t> sources,
                                         FrontierCost* cost = nullptr);

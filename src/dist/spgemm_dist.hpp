@@ -850,20 +850,4 @@ DistMatrix<typename M::value_type> spgemm(sim::Sim& sim, const Plan& plan,
                                b_cache);
 }
 
-/// Convenience overload: autotune the plan (§6.2) from the §5.2 estimates,
-/// then execute. `p` is the number of ranks to use (defaults to all).
-template <algebra::Monoid M, typename TA, typename TB, typename F>
-DistMatrix<typename M::value_type> spgemm_auto(
-    sim::Sim& sim, const DistMatrix<TA>& a, const DistMatrix<TB>& b, F f,
-    Layout out_layout, const TuneOptions& opts = {},
-    DistSpgemmStats* st = nullptr) {
-  auto stats = MultiplyStats::estimated(
-      a.nrows(), a.ncols(), b.ncols(), static_cast<double>(a.nnz()),
-      static_cast<double>(b.nnz()), sim::sparse_entry_words<TA>(),
-      sim::sparse_entry_words<TB>(),
-      sim::sparse_entry_words<typename M::value_type>());
-  const Plan plan = autotune(sim.nranks(), stats, sim.model(), opts);
-  return spgemm<M>(sim, plan, a, b, f, out_layout, st);
-}
-
 }  // namespace mfbc::dist

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <charconv>
-#include <cstdlib>
 
 #include "sim/machine.hpp"
 #include "support/rng.hpp"
+#include "support/strutil.hpp"
 #include "telemetry/registry.hpp"
 
 namespace mfbc::sim {
@@ -66,33 +66,13 @@ bool FaultSpec::any_corruption() const {
 
 namespace {
 
+/// The `what` of a malformed item: the parse error names the whole item.
+std::string spec_item(const std::string& item) {
+  return "bad --faults item '" + item + "'";
+}
+
 [[noreturn]] void bad_spec(const std::string& item, const char* why) {
-  throw ::mfbc::Error("bad --faults item '" + item + "': " + why);
-}
-
-double parse_rate(const std::string& item, const std::string& text) {
-  char* end = nullptr;
-  const double r = std::strtod(text.c_str(), &end);
-  if (end == text.c_str() || *end != '\0') bad_spec(item, "expected a number");
-  if (!(r >= 0.0 && r <= 1.0)) bad_spec(item, "rate must be in [0, 1]");
-  return r;
-}
-
-std::int64_t parse_int(const std::string& item, const std::string& text) {
-  char* end = nullptr;
-  const long long v = std::strtoll(text.c_str(), &end, 10);
-  if (end == text.c_str() || *end != '\0') bad_spec(item, "expected an integer");
-  if (v < 0) bad_spec(item, "value must be non-negative");
-  return v;
-}
-
-/// Full-range uint64 (strtoll would saturate seeds above INT64_MAX).
-std::uint64_t parse_u64(const std::string& item, const std::string& text) {
-  if (!text.empty() && text[0] == '-') bad_spec(item, "value must be non-negative");
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-  if (end == text.c_str() || *end != '\0') bad_spec(item, "expected an integer");
-  return v;
+  throw ::mfbc::Error(spec_item(item) + ": " + why);
 }
 
 FaultKind kind_of(const std::string& name) {
@@ -107,12 +87,7 @@ FaultKind kind_of(const std::string& name) {
 FaultSpec FaultSpec::parse(const std::string& text, std::uint64_t seed) {
   FaultSpec spec;
   spec.seed = seed;
-  std::size_t pos = 0;
-  while (pos <= text.size()) {
-    std::size_t comma = text.find(',', pos);
-    if (comma == std::string::npos) comma = text.size();
-    const std::string item = text.substr(pos, comma - pos);
-    pos = comma + 1;
+  for (const std::string& item : split(text, ',')) {
     if (item.empty()) continue;
     if (item == "trace") {
       spec.record_trace = true;
@@ -130,10 +105,10 @@ FaultSpec FaultSpec::parse(const std::string& text, std::uint64_t seed) {
       if (vcolon != std::string::npos) {
         if (s.kind != FaultKind::kRankFailure)
           bad_spec(item, "only rank@I:V takes a victim");
-        s.victim = static_cast<int>(parse_int(item, rest.substr(vcolon + 1)));
+        s.victim = parse_int<int>(spec_item(item), rest.substr(vcolon + 1));
         rest = rest.substr(0, vcolon);
       }
-      s.charge_index = parse_u64(item, rest);
+      s.charge_index = parse_int<std::uint64_t>(spec_item(item), rest);
       spec.scheduled.push_back(s);
       continue;
     }
@@ -141,21 +116,21 @@ FaultSpec FaultSpec::parse(const std::string& text, std::uint64_t seed) {
     const std::string name = item.substr(0, colon);
     const std::string value = item.substr(colon + 1);
     if (name == "retries") {
-      spec.max_retries = static_cast<int>(parse_int(item, value));
+      spec.max_retries = parse_int<int>(spec_item(item), value);
     } else if (name == "batch-retries") {
-      spec.max_batch_retries = static_cast<int>(parse_int(item, value));
+      spec.max_batch_retries = parse_int<int>(spec_item(item), value);
     } else if (name == "spares") {
-      spec.spares = static_cast<int>(parse_int(item, value));
+      spec.spares = parse_int<int>(spec_item(item), value);
     } else if (name == "shrinks") {
-      spec.max_shrinks = static_cast<int>(parse_int(item, value));
+      spec.max_shrinks = parse_int<int>(spec_item(item), value);
     } else if (name == "seed") {
-      spec.seed = parse_u64(item, value);
+      spec.seed = parse_int<std::uint64_t>(spec_item(item), value);
     } else if (kind_of(name) == FaultKind::kTransient) {
-      spec.transient_rate = parse_rate(item, value);
+      spec.transient_rate = parse_rate(spec_item(item), value);
     } else if (kind_of(name) == FaultKind::kCorruption) {
-      spec.corruption_rate = parse_rate(item, value);
+      spec.corruption_rate = parse_rate(spec_item(item), value);
     } else if (kind_of(name) == FaultKind::kRankFailure) {
-      spec.rank_failure_rate = parse_rate(item, value);
+      spec.rank_failure_rate = parse_rate(spec_item(item), value);
     } else {
       bad_spec(item, "unknown item");
     }
@@ -165,8 +140,8 @@ FaultSpec FaultSpec::parse(const std::string& text, std::uint64_t seed) {
 
 namespace {
 
-/// Shortest decimal form that parses back to the same double (std::strtod
-/// and std::to_chars agree on round-tripping).
+/// Shortest decimal form that parses back to the same double (parse_rate
+/// reads it with std::from_chars, which round-trips std::to_chars).
 std::string rate_str(double v) {
   char buf[32];
   const auto res = std::to_chars(buf, buf + sizeof(buf), v);

@@ -82,38 +82,6 @@ Csr<T> filter(const Csr<T>& a, Pred pred) {
                 std::move(val));
 }
 
-/// C = A ∘ B elementwise over the *intersection* of sparsity patterns,
-/// combining with fn (the masked/Hadamard product; used e.g. by triangle
-/// counting's (A·A) ∘ A).
-template <typename TC, typename TA, typename TB, typename Fn>
-Csr<TC> ewise_intersect(const Csr<TA>& a, const Csr<TB>& b, Fn fn) {
-  MFBC_CHECK(a.nrows() == b.nrows() && a.ncols() == b.ncols(),
-             "ewise_intersect shape mismatch");
-  std::vector<nnz_t> rowptr(static_cast<std::size_t>(a.nrows()) + 1, 0);
-  std::vector<vid_t> col;
-  std::vector<TC> val;
-  for (vid_t r = 0; r < a.nrows(); ++r) {
-    auto ac = a.row_cols(r), bc = b.row_cols(r);
-    auto av = a.row_vals(r), bv = b.row_vals(r);
-    std::size_t i = 0, j = 0;
-    while (i < ac.size() && j < bc.size()) {
-      if (ac[i] < bc[j]) {
-        ++i;
-      } else if (ac[i] > bc[j]) {
-        ++j;
-      } else {
-        col.push_back(ac[i]);
-        val.push_back(fn(av[i], bv[j]));
-        ++i;
-        ++j;
-      }
-    }
-    rowptr[static_cast<std::size_t>(r) + 1] = static_cast<nnz_t>(col.size());
-  }
-  return Csr<TC>(a.nrows(), a.ncols(), std::move(rowptr), std::move(col),
-                 std::move(val));
-}
-
 /// Apply fn to every stored value, producing a possibly different value type
 /// (CTF's Transform / Function on a single operand).
 template <typename U, typename T, typename Fn>

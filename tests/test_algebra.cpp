@@ -150,8 +150,6 @@ TEST(Tropical, MinMonoidAndFold) {
   const std::vector<Weight> ws = {5.0, 2.0, kInfWeight, 7.0};
   EXPECT_EQ((fold<TropicalMinMonoid>(ws.begin(), ws.end())), 2.0);
   EXPECT_TRUE(TropicalMinMonoid::is_identity(kInfWeight));
-  EXPECT_EQ(TropicalTimes{}(kInfWeight, 3.0), kInfWeight);
-  EXPECT_EQ(TropicalTimes{}(2.0, 3.0), 5.0);
 }
 
 TEST(Tropical, SumMonoid) {

@@ -1,10 +1,13 @@
 // Tests for the serial Brandes ground truth itself: closed-form centralities
 // on canonical graphs and internal consistency between the BFS and Dijkstra
-// code paths.
+// code paths. Its Dijkstra also serves as the oracle for the two frontier
+// strategies of the §4.2.3 ablation (apps/dijkstra_algebraic).
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <numeric>
 
+#include "apps/dijkstra_algebraic.hpp"
 #include "baseline/brandes.hpp"
 #include "graph/generators.hpp"
 
@@ -136,6 +139,40 @@ TEST(Brandes, SsspUnreachable) {
   auto r = sssp_with_counts(g, 0);
   EXPECT_TRUE(std::isinf(r.dist[2]));
   EXPECT_DOUBLE_EQ(r.sigma[2], 0.0);
+}
+
+TEST(Brandes, FrontierStrategiesMatchSsspDistances) {
+  // Every row of the settled (Dijkstra) and maximal (MFBF) frontier loops
+  // holds the Dijkstra distances from its source, on directed and
+  // undirected graphs with integer weights (so the sums are exact).
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    for (const bool directed : {false, true}) {
+      const Graph g =
+          graph::erdos_renyi(70, 220, directed, {true, 1, 20}, seed);
+      const auto n = static_cast<std::size_t>(g.n());
+      std::vector<vid_t> sources(n);
+      std::iota(sources.begin(), sources.end(), vid_t{0});
+      const auto settled = apps::sssp_batch_dijkstra(g, sources);
+      const auto maximal = apps::sssp_batch_maximal(g, sources);
+      ASSERT_EQ(settled.size(), n * n);
+      ASSERT_EQ(maximal.size(), n * n);
+      for (std::size_t s = 0; s < n; ++s) {
+        const std::vector<double> ref =
+            sssp_with_counts(g, sources[s]).dist;
+        const auto row = [&](const std::vector<double>& d) {
+          const auto first = d.begin() + static_cast<std::ptrdiff_t>(s * n);
+          return std::vector<double>(first,
+                                     first + static_cast<std::ptrdiff_t>(n));
+        };
+        EXPECT_EQ(row(settled), ref)
+            << "settled, seed " << seed << " directed " << directed
+            << " source " << s;
+        EXPECT_EQ(row(maximal), ref)
+            << "maximal, seed " << seed << " directed " << directed
+            << " source " << s;
+      }
+    }
+  }
 }
 
 TEST(Brandes, DependenciesMatchDefinitionOnPath) {

@@ -175,22 +175,6 @@ TEST(DistSpgemm, RanksExceedingMachineThrow) {
   EXPECT_THROW(spgemm<SumMonoid>(sim, plan, da, da, Times{}, l), Error);
 }
 
-TEST(DistSpgemm, AutotunedExecutionMatchesSequential) {
-  for (int p : {1, 4, 9}) {
-    sim::Sim sim(p);
-    auto a = random_csr(18, 18, 0.3, 81 + static_cast<std::uint64_t>(p));
-    auto b = random_csr(18, 18, 0.3, 91 + static_cast<std::uint64_t>(p));
-    auto [pr, pc] = std::pair{p == 1 ? 1 : 3, p == 1 ? 1 : p / 3};
-    if (p == 4) std::tie(pr, pc) = std::pair{2, 2};
-    Layout l{0, pr, pc, Range{0, 18}, Range{0, 18}, false};
-    auto da = DistMatrix<double>::scatter<SumMonoid>(sim, a, l);
-    auto db = DistMatrix<double>::scatter<SumMonoid>(sim, b, l);
-    auto dc = spgemm_auto<SumMonoid>(sim, da, db, Times{}, l);
-    EXPECT_EQ(dc.gather(sim), sparse::spgemm<SumMonoid>(a, b, Times{}))
-        << "p=" << p;
-  }
-}
-
 TEST(DistSpgemm, EmptyOperandsYieldEmptyResult) {
   sim::Sim sim(4);
   Csr<double> a(8, 8), b(8, 8);

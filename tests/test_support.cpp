@@ -1,7 +1,10 @@
 // Tests for src/support: error macros, deterministic RNG, string helpers.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "support/error.hpp"
 #include "support/rng.hpp"
@@ -86,6 +89,42 @@ TEST(Strutil, HumanCount) {
 }
 
 TEST(Strutil, Fixed) { EXPECT_EQ(fixed(3.14159, 2), "3.14"); }
+
+TEST(Strutil, SplitKeepsEmptyFields) {
+  EXPECT_EQ(split("300,900", ','), (std::vector<std::string>{"300", "900"}));
+  EXPECT_EQ(split("0.3,", ','), (std::vector<std::string>{"0.3", ""}));
+  EXPECT_EQ(split("", ','), (std::vector<std::string>{""}));
+}
+
+TEST(Strutil, ParsesWholeNumbersOnly) {
+  EXPECT_EQ(parse_int<int>("--ranks", "16"), 16);
+  EXPECT_EQ(parse_int<int>("--ranks", "0"), 0);
+  EXPECT_EQ(parse_int<std::uint64_t>("--seed", "18446744073709551615"),
+            18446744073709551615ull);
+  EXPECT_EQ(parse_double("--eps", "0.3"), 0.3);
+  EXPECT_EQ(parse_double("--eps", "1e-3"), 1e-3);
+  EXPECT_EQ(parse_double("--threshold", "-1"), -1.0);
+  EXPECT_EQ(parse_rate("--beta", "1"), 1.0);
+  for (const char* bad : {"banana", "16x", "", " 5", "+5", "1.5", "-2",
+                          "2147483648"}) {
+    EXPECT_THROW(parse_int<int>("--ranks", bad), Error) << "'" << bad << "'";
+  }
+  EXPECT_THROW(parse_int<std::uint64_t>("--seed", "-1"), Error);
+  for (const char* bad : {"abc", "0.5x", "", "inf", "nan", "1e999"}) {
+    EXPECT_THROW(parse_double("--eps", bad), Error) << "'" << bad << "'";
+  }
+  for (const char* bad : {"-0.1", "1.5", "abc"}) {
+    EXPECT_THROW(parse_rate("--beta", bad), Error) << "'" << bad << "'";
+  }
+  // The message names the flag and the text that failed.
+  try {
+    parse_int<int>("--batch", "16x");
+    FAIL() << "expected mfbc::Error";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("--batch"), std::string::npos);
+    EXPECT_NE(std::string(e.what()).find("'16x'"), std::string::npos);
+  }
+}
 
 }  // namespace
 }  // namespace mfbc

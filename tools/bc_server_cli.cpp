@@ -20,8 +20,7 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -32,6 +31,7 @@
 #include "support/error.hpp"
 #include "support/parallel.hpp"
 #include "support/rng.hpp"
+#include "support/strutil.hpp"
 #include "telemetry/export.hpp"
 
 namespace {
@@ -54,7 +54,7 @@ struct Args {
   int mutation_adds = 3;
   int mutation_removes = 1;
   std::string mode = "auto";  // auto | incremental | full
-  double full_threshold = -2;  // <-1 = take it from --mode
+  std::optional<double> full_threshold;  // unset = take it from --mode
   bool approx = false;        // approximate serving (adaptive sampler)
   double approx_eps = 0.25;
   double approx_delta = 0.1;
@@ -111,28 +111,33 @@ Args parse(int argc, char** argv) {
     else if (f == "--rmat") a.rmat = need(i);
     else if (f == "--directed") a.directed = true;
     else if (f == "--weighted") a.weighted = true;
-    else if (f == "--ranks") a.ranks = std::atoi(need(i));
-    else if (f == "--batch") a.batch = std::atol(need(i));
-    else if (f == "--threads") a.threads = std::atoi(need(i));
-    else if (f == "--sources") a.sources = std::atol(need(i));
-    else if (f == "--query-threads") a.query_threads = std::atoi(need(i));
-    else if (f == "--queries") a.queries = std::atoi(need(i));
-    else if (f == "--topk") a.topk = std::atoi(need(i));
-    else if (f == "--mutations") a.mutations = std::atoi(need(i));
-    else if (f == "--mutation-adds") a.mutation_adds = std::atoi(need(i));
+    else if (f == "--ranks") a.ranks = parse_int<int>(f, need(i));
+    else if (f == "--batch") a.batch = parse_int<graph::vid_t>(f, need(i));
+    else if (f == "--threads") a.threads = parse_int<int>(f, need(i));
+    else if (f == "--sources") a.sources = parse_int<graph::vid_t>(f, need(i));
+    else if (f == "--query-threads")
+      a.query_threads = parse_int<int>(f, need(i));
+    else if (f == "--queries") a.queries = parse_int<int>(f, need(i));
+    else if (f == "--topk") a.topk = parse_int<int>(f, need(i));
+    else if (f == "--mutations") a.mutations = parse_int<int>(f, need(i));
+    else if (f == "--mutation-adds")
+      a.mutation_adds = parse_int<int>(f, need(i));
     else if (f == "--mutation-removes")
-      a.mutation_removes = std::atoi(need(i));
+      a.mutation_removes = parse_int<int>(f, need(i));
     else if (f == "--mode") a.mode = need(i);
-    else if (f == "--full-threshold") a.full_threshold = std::atof(need(i));
+    else if (f == "--full-threshold")
+      a.full_threshold = parse_double(f, need(i));
     else if (f == "--approx") {
       a.approx = true;
-      unsigned long long s = 1;
-      const int got = std::sscanf(need(i), "%lf,%lf,%llu", &a.approx_eps,
-                                  &a.approx_delta, &s);
-      if (got < 2) throw Error("--approx expects eps,delta[,seed]");
-      a.approx_seed = s;
+      const std::vector<std::string> p = split(need(i), ',');
+      if (p.size() < 2 || p.size() > 3) {
+        throw Error("--approx expects eps,delta[,seed]");
+      }
+      a.approx_eps = parse_double(f, p[0]);
+      a.approx_delta = parse_double(f, p[1]);
+      if (p.size() == 3) a.approx_seed = parse_int<std::uint64_t>(f, p[2]);
     }
-    else if (f == "--seed") a.seed = std::strtoull(need(i), nullptr, 10);
+    else if (f == "--seed") a.seed = parse_int<std::uint64_t>(f, need(i));
     else if (f == "--json") a.json_file = need(i);
     else if (f == "--help" || f == "-h") a.help = true;
     else throw Error("unknown flag: " + f);
@@ -144,18 +149,18 @@ graph::Graph load_graph(const Args& a) {
   graph::WeightSpec ws;
   ws.weighted = a.weighted;
   if (!a.er.empty()) {
-    const auto comma = a.er.find(',');
-    MFBC_CHECK(comma != std::string::npos, "--er expects N,M");
-    const graph::vid_t n = std::atol(a.er.substr(0, comma).c_str());
-    const graph::nnz_t m = std::atol(a.er.substr(comma + 1).c_str());
-    return graph::erdos_renyi(n, m, a.directed, ws, a.seed);
+    const std::vector<std::string> nm = split(a.er, ',');
+    if (nm.size() != 2) throw Error("--er expects N,M");
+    return graph::erdos_renyi(parse_int<graph::vid_t>("--er", nm[0]),
+                              parse_int<graph::nnz_t>("--er", nm[1]),
+                              a.directed, ws, a.seed);
   }
   if (!a.rmat.empty()) {
-    const auto comma = a.rmat.find(',');
-    MFBC_CHECK(comma != std::string::npos, "--rmat expects S,E");
+    const std::vector<std::string> se = split(a.rmat, ',');
+    if (se.size() != 2) throw Error("--rmat expects S,E");
     graph::RmatParams params;
-    params.scale = std::atoi(a.rmat.substr(0, comma).c_str());
-    params.edge_factor = std::atof(a.rmat.substr(comma + 1).c_str());
+    params.scale = parse_int<int>("--rmat", se[0]);
+    params.edge_factor = parse_double("--rmat", se[1]);
     params.directed = a.directed;
     params.weights = ws;
     return graph::rmat(params, a.seed);
@@ -164,7 +169,7 @@ graph::Graph load_graph(const Args& a) {
 }
 
 double threshold_of(const Args& a) {
-  if (a.full_threshold >= -1) return a.full_threshold;
+  if (a.full_threshold) return *a.full_threshold;
   if (a.mode == "auto") return 0.5;
   if (a.mode == "incremental") return 1.0;  // never fall back on fraction
   if (a.mode == "full") return -1.0;        // always full recompute
@@ -174,7 +179,6 @@ double threshold_of(const Args& a) {
 int run(const Args& a) {
   if (a.threads > 0) support::set_threads(a.threads);
   MFBC_CHECK(a.query_threads >= 1, "--query-threads must be >= 1");
-  MFBC_CHECK(a.queries >= 0 && a.mutations >= 0, "counts must be >= 0");
 
   graph::Graph g = load_graph(a);
   const graph::vid_t n = g.n();

@@ -1,33 +1,25 @@
 // mfbc — command-line driver for the library.
 //
-// Computes betweenness centrality (exact or pivot-approximate), harmonic
-// closeness, or connected components for a graph read from an edge-list /
-// MatrixMarket file or produced by the built-in generators, optionally on
-// the simulated distributed machine (printing the critical-path
-// communication costs).
+// Computes betweenness centrality (exact, pivot-approximate or
+// (eps,delta)-sampled) for a graph read from an edge-list / MatrixMarket
+// file or produced by the built-in generators, optionally on the simulated
+// distributed machine (printing the critical-path communication costs).
 //
 // Examples:
 //   mfbc --er 1000,4000 --top 5
 //   mfbc --rmat 12,8 --weighted --algo mfbc --batch 128 --top 10
 //   mfbc --input graph.txt --directed --approx 256 --ranks 16 --mode ca --c 4
-//   mfbc --snap ork --metric closeness --approx 64
-//   mfbc --er 500,600 --metric components
+//   mfbc --snap ork --approx 64 --ranks 16
+//   mfbc --input graph.mtx --ranks 16 --approx 0.05,0.1
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "apps/maxflow.hpp"
-#include "apps/pagerank.hpp"
-#include "apps/traversal.hpp"
-#include "apps/traversal_dist.hpp"
 #include "baseline/brandes.hpp"
 #include "baseline/combblas_bc.hpp"
 #include "benchsupport/table.hpp"
@@ -65,9 +57,6 @@ struct Args {
   bool weighted = false;
   bool one_indexed = false;
   bool giant = false;  // restrict to the largest weakly connected component
-  std::string metric = "bc";  // bc | closeness | components | pagerank | maxflow
-  graph::vid_t source = 0;    // maxflow endpoints
-  graph::vid_t sink = -1;
   std::string algo = "mfbc";  // mfbc | brandes | combblas
   graph::vid_t batch = 128;
   graph::vid_t approx = 0;  // 0 = exact (all sources)
@@ -103,8 +92,8 @@ void usage() {
   std::puts(
       "usage: mfbc [options]\n"
       "graph source (choose one):\n"
-      "  --input FILE        whitespace edge list ('u v [w]'; # comments)\n"
-      "  --mm FILE           (via --input on .mtx files, auto-detected)\n"
+      "  --input FILE        whitespace edge list ('u v [w]'; # comments),\n"
+      "                      or MatrixMarket if FILE ends in .mtx\n"
       "  --rmat S,E          R-MAT graph, 2^S vertices, avg degree E\n"
       "  --er N,M            Erdos-Renyi graph with N vertices, M edges\n"
       "  --snap ID           SNAP proxy: frd|ork|ljm|cit (Table 2 shapes)\n"
@@ -112,8 +101,6 @@ void usage() {
       "  --directed --weighted --one-indexed\n"
       "  --giant             restrict to the largest connected component\n"
       "computation:\n"
-      "  --metric M          bc (default) | closeness | components |\n"
-      "                      pagerank | maxflow (with --source/--sink)\n"
       "  --algo A            bc engine: mfbc (default) | brandes | combblas\n"
       "  --batch NB          source batch size (default 128)\n"
       "  --approx K          use K pivot sources instead of all n\n"
@@ -191,7 +178,7 @@ void usage() {
       "output:\n"
       "  --top K             print the K highest-ranked vertices (default 10)\n"
       "  --seed S            generator seed\n"
-      "  --json FILE         write a machine-readable run summary (metric\n"
+      "  --json FILE         write a machine-readable run summary (top\n"
       "                      scores, ledger costs, faults.* counters)\n");
 }
 
@@ -211,35 +198,32 @@ Args parse(int argc, char** argv) {
     else if (f == "--weighted") a.weighted = true;
     else if (f == "--one-indexed") a.one_indexed = true;
     else if (f == "--giant") a.giant = true;
-    else if (f == "--metric") a.metric = need(i);
-    else if (f == "--source") a.source = std::atol(need(i));
-    else if (f == "--sink") a.sink = std::atol(need(i));
     else if (f == "--algo") a.algo = need(i);
-    else if (f == "--batch") a.batch = std::atol(need(i));
+    else if (f == "--batch") a.batch = parse_int<graph::vid_t>(f, need(i));
     else if (f == "--approx") {
       // Dual form: a plain integer keeps the legacy pivot-count estimator;
       // a comma means the adaptive (ε,δ) sampler.
       const std::string v = need(i);
       if (v.find(',') != std::string::npos) {
         a.adaptive = true;
-        unsigned long long s = 1;
-        const int got = std::sscanf(v.c_str(), "%lf,%lf,%llu",
-                                    &a.approx_eps, &a.approx_delta, &s);
-        if (got < 2) throw Error("--approx expects K or eps,delta[,seed]");
-        a.approx_seed = s;
+        const std::vector<std::string> p = split(v, ',');
+        if (p.size() > 3) throw Error("--approx expects K or eps,delta[,seed]");
+        a.approx_eps = parse_double(f, p[0]);
+        a.approx_delta = parse_double(f, p[1]);
+        if (p.size() == 3) a.approx_seed = parse_int<std::uint64_t>(f, p[2]);
       } else {
-        a.approx = std::atol(v.c_str());
+        a.approx = parse_int<graph::vid_t>(f, v);
       }
     }
-    else if (f == "--ranks") a.ranks = std::atoi(need(i));
-    else if (f == "--threads") a.threads = std::atoi(need(i));
+    else if (f == "--ranks") a.ranks = parse_int<int>(f, need(i));
+    else if (f == "--threads") a.threads = parse_int<int>(f, need(i));
     else if (f == "--mode") a.mode = need(i);
     else if (f == "--schedule") a.schedule = need(i);
     else if (f == "--partition") a.partition = need(i);
     else if (f == "--machine-profile") a.machine_profile = need(i);
-    else if (f == "--overlap-beta") a.overlap_beta = std::atof(need(i));
-    else if (f == "--c") a.c = std::atoi(need(i));
-    else if (f == "--top") a.top = std::atoi(need(i));
+    else if (f == "--overlap-beta") a.overlap_beta = parse_rate(f, need(i));
+    else if (f == "--c") a.c = parse_int<int>(f, need(i));
+    else if (f == "--top") a.top = parse_int<int>(f, need(i));
     else if (f == "--model") a.model_file = need(i);
     else if (f == "--tune") a.tune_file = need(i);
     else if (f == "--tune-profile") a.tune_profile = need(i);
@@ -247,12 +231,12 @@ Args parse(int argc, char** argv) {
     else if (f == "--explain-plan") a.explain_plan = true;
     else if (f == "--faults") a.faults = need(i);
     else if (f == "--fault-seed")
-      a.fault_seed = std::strtoull(need(i), nullptr, 10);
-    else if (f == "--spares") a.spares = std::atoi(need(i));
+      a.fault_seed = parse_int<std::uint64_t>(f, need(i));
+    else if (f == "--spares") a.spares = parse_int<int>(f, need(i));
     else if (f == "--checkpoint-dir") a.checkpoint_dir = need(i);
     else if (f == "--resume") a.resume = true;
     else if (f == "--json") a.json_file = need(i);
-    else if (f == "--seed") a.seed = std::strtoull(need(i), nullptr, 10);
+    else if (f == "--seed") a.seed = parse_int<std::uint64_t>(f, need(i));
     else if (f == "--help" || f == "-h") a.help = true;
     else throw Error("unknown flag: " + f);
   }
@@ -272,21 +256,22 @@ graph::Graph load_graph(const Args& a) {
                   .one_indexed = a.one_indexed});
   }
   if (!a.rmat.empty()) {
+    const std::vector<std::string> se = split(a.rmat, ',');
+    if (se.size() != 2) throw Error("--rmat expects S,E");
     graph::RmatParams p;
-    if (std::sscanf(a.rmat.c_str(), "%d,%lf", &p.scale, &p.edge_factor) != 2) {
-      throw Error("--rmat expects S,E");
-    }
+    p.scale = parse_int<int>("--rmat", se[0]);
+    p.edge_factor = parse_double("--rmat", se[1]);
     p.directed = a.directed;
     p.weights = {a.weighted, 1, 100};
     return graph::random_relabel(graph::remove_isolated(graph::rmat(p, a.seed)),
                                  a.seed ^ 0xabc);
   }
   if (!a.er.empty()) {
-    long long n = 0, m = 0;
-    if (std::sscanf(a.er.c_str(), "%lld,%lld", &n, &m) != 2) {
-      throw Error("--er expects N,M");
-    }
-    return graph::erdos_renyi(n, m, a.directed, {a.weighted, 1, 100}, a.seed);
+    const std::vector<std::string> nm = split(a.er, ',');
+    if (nm.size() != 2) throw Error("--er expects N,M");
+    return graph::erdos_renyi(parse_int<graph::vid_t>("--er", nm[0]),
+                              parse_int<graph::nnz_t>("--er", nm[1]),
+                              a.directed, {a.weighted, 1, 100}, a.seed);
   }
   if (!a.snap.empty()) {
     for (const auto& spec : graph::snap_specs()) {
@@ -305,9 +290,9 @@ std::vector<graph::vid_t> pivot_sources(const graph::Graph& g,
   return out;
 }
 
-void print_top(const std::vector<double>& score, int k, const char* what) {
+void print_top(const std::vector<double>& score, int k) {
   const auto ranked = core::top_k(score, static_cast<std::size_t>(k));
-  std::printf("top-%zu vertices by %s:\n", ranked.size(), what);
+  std::printf("top-%zu vertices by betweenness centrality:\n", ranked.size());
   for (std::size_t i = 0; i < ranked.size(); ++i) {
     std::printf("  %3zu. v%-8zu %.6g\n", i + 1, ranked[i].vertex,
                 ranked[i].score);
@@ -604,10 +589,7 @@ int run(const Args& a) {
   sim::MachineModel machine =
       a.model_file.empty() ? sim::MachineModel::blue_waters()
                            : sim::load_model_file(a.model_file);
-  if (a.overlap_beta >= 0) {
-    MFBC_CHECK(a.overlap_beta <= 1.0, "--overlap-beta expects a value in [0,1]");
-    machine.overlap_beta = a.overlap_beta;
-  }
+  if (a.overlap_beta >= 0) machine.overlap_beta = a.overlap_beta;
   int profile_spares = 0;  // spare-class ranks declared by --machine-profile
   if (!a.machine_profile.empty()) {
     MFBC_CHECK(a.ranks > 0, "--machine-profile needs --ranks P");
@@ -710,73 +692,7 @@ int run(const Args& a) {
     return 0;
   }
 
-  if (a.metric == "components") {
-    auto labels = apps::connected_component_labels(g);
-    std::map<graph::vid_t, graph::vid_t> sizes;
-    for (graph::vid_t l : labels) sizes[l]++;
-    std::printf("%zu connected components; largest sizes:", sizes.size());
-    std::vector<graph::vid_t> s;
-    for (auto& [l, count] : sizes) s.push_back(count);
-    std::sort(s.rbegin(), s.rend());
-    for (std::size_t i = 0; i < std::min<std::size_t>(5, s.size()); ++i) {
-      std::printf(" %lld", static_cast<long long>(s[i]));
-    }
-    std::puts("");
-    return 0;
-  }
-
-  if (a.metric == "pagerank") {
-    WallTimer pr_timer;
-    auto r = apps::pagerank(g);
-    std::printf("pagerank converged in %d iterations (residual %.1e, %.2fs)\n",
-                r.iterations, r.residual, pr_timer.seconds());
-    print_top(r.rank, a.top, "pagerank");
-    return 0;
-  }
-
-  if (a.metric == "maxflow") {
-    const graph::vid_t sink = a.sink >= 0 ? a.sink : g.n() - 1;
-    apps::MaxFlowStats stats;
-    const double flow = apps::max_flow(g, a.source, sink, &stats);
-    std::printf("max flow %lld -> %lld: %.6g  (%d augmenting paths, %d "
-                "algebraic BFS products)\n",
-                static_cast<long long>(a.source), static_cast<long long>(sink),
-                flow, stats.augmenting_paths, stats.bfs_products);
-    return 0;
-  }
-
   WallTimer timer;
-  if (a.metric == "closeness") {
-    apps::ClosenessOptions opts;
-    opts.batch_size = a.batch;
-    if (a.approx > 0) opts.sources = pivot_sources(g, a.approx);
-    std::vector<double> h;
-    if (a.ranks > 0) {
-      sim::Sim sim(a.ranks, machine);
-      h = apps::harmonic_closeness_dist(sim, g, opts);
-      const auto cost = sim.ledger().critical();
-      std::printf("distributed closeness on %d ranks: critical path %s, "
-                  "%.0f msgs, modelled %.4fs\n",
-                  a.ranks, human_bytes(cost.words * 8).c_str(), cost.msgs,
-                  cost.total_seconds());
-    } else {
-      h = apps::harmonic_closeness(g, opts);
-    }
-    if (a.approx > 0) {
-      std::printf("harmonic closeness of %lld pivots in %.2fs\n",
-                  static_cast<long long>(a.approx), timer.seconds());
-      for (std::size_t i = 0; i < h.size(); ++i) {
-        std::printf("  v%-8lld %.6g\n",
-                    static_cast<long long>(opts.sources[i]), h[i]);
-      }
-    } else {
-      std::printf("computed in %.2fs\n", timer.seconds());
-      print_top(h, a.top, "harmonic closeness");
-    }
-    return 0;
-  }
-
-  MFBC_CHECK(a.metric == "bc", "unknown metric: " + a.metric);
   const bool simulated_bc =
       (a.algo == "mfbc" || a.algo == "combblas") && a.ranks > 0;
   MFBC_CHECK(a.faults.empty() || simulated_bc,
@@ -788,7 +704,6 @@ int run(const Args& a) {
   MFBC_CHECK(pkind == dist::PartitionKind::kBlock || simulated_bc,
              "--partition needs a simulated run "
              "(--algo mfbc|combblas --ranks P)");
-  MFBC_CHECK(a.spares >= 0, "--spares expects a count >= 0");
   MFBC_CHECK(a.spares == 0 || !a.faults.empty(),
              "--spares needs --faults (spares only matter to recovery)");
   MFBC_CHECK(a.checkpoint_dir.empty() || simulated_bc,
@@ -840,12 +755,11 @@ int run(const Args& a) {
     throw Error("unknown --algo: " + a.algo);
   }
   std::printf("computed in %.2fs wall\n", timer.seconds());
-  print_top(bc, a.top, "betweenness centrality");
+  print_top(bc, a.top);
   if (!a.json_file.empty()) {
     support::export_pool_utilization();
     telemetry::RunSummary summary("mfbc_cli");
     telemetry::Json config = telemetry::Json::object();
-    config["metric"] = telemetry::Json(a.metric);
     config["algo"] = telemetry::Json(a.algo);
     config["ranks"] = telemetry::Json(a.ranks);
     config["batch"] = telemetry::Json(static_cast<std::int64_t>(a.batch));

@@ -11,8 +11,6 @@
 //   mfbc_trace --er 4096,32768 --csv trace.csv
 //   mfbc_trace --rmat 12,8 --json trace.json --chrome-trace trace.trace.json
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -74,48 +72,43 @@ int main(int argc, char** argv) {
   bool weighted = false, directed = false;
   graph::vid_t batch = 64;
   std::uint64_t seed = 1;
-  for (int i = 1; i < argc; ++i) {
-    const std::string f = argv[i];
-    auto need = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", f.c_str());
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (f == "--rmat") rmat = need();
-    else if (f == "--er") er = need();
-    else if (f == "--weighted") weighted = true;
-    else if (f == "--directed") directed = true;
-    else if (f == "--batch") batch = std::atol(need());
-    else if (f == "--seed") seed = std::strtoull(need(), nullptr, 10);
-    else if (f == "--csv") csv_path = need();
-    else if (f == "--json") json_path = need();
-    else if (f == "--chrome-trace") chrome_path = need();
-    else {
-      std::fprintf(stderr, "unknown flag %s\n", f.c_str());
-      return 2;
-    }
-  }
   try {
+    for (int i = 1; i < argc; ++i) {
+      const std::string f = argv[i];
+      auto need = [&]() -> std::string {
+        if (i + 1 >= argc) throw Error("missing value for " + f);
+        return argv[++i];
+      };
+      if (f == "--rmat") rmat = need();
+      else if (f == "--er") er = need();
+      else if (f == "--weighted") weighted = true;
+      else if (f == "--directed") directed = true;
+      else if (f == "--batch") batch = parse_int<graph::vid_t>(f, need());
+      else if (f == "--seed") seed = parse_int<std::uint64_t>(f, need());
+      else if (f == "--csv") csv_path = need();
+      else if (f == "--json") json_path = need();
+      else if (f == "--chrome-trace") chrome_path = need();
+      else throw Error("unknown flag " + f);
+    }
     graph::Graph g = [&] {
       graph::WeightSpec ws{weighted, 1, 100};
       if (!rmat.empty()) {
+        const std::vector<std::string> se = split(rmat, ',');
+        if (se.size() != 2) throw Error("--rmat expects S,E");
         graph::RmatParams p;
-        if (std::sscanf(rmat.c_str(), "%d,%lf", &p.scale, &p.edge_factor) != 2) {
-          throw Error("--rmat expects S,E");
-        }
+        p.scale = parse_int<int>("--rmat", se[0]);
+        p.edge_factor = parse_double("--rmat", se[1]);
         p.directed = directed;
         p.weights = ws;
         return graph::random_relabel(
             graph::remove_isolated(graph::rmat(p, seed)), seed ^ 1);
       }
       if (!er.empty()) {
-        long long n = 0, m = 0;
-        if (std::sscanf(er.c_str(), "%lld,%lld", &n, &m) != 2) {
-          throw Error("--er expects N,M");
-        }
-        return graph::erdos_renyi(n, m, directed, ws, seed);
+        const std::vector<std::string> nm = split(er, ',');
+        if (nm.size() != 2) throw Error("--er expects N,M");
+        return graph::erdos_renyi(parse_int<graph::vid_t>("--er", nm[0]),
+                                  parse_int<graph::nnz_t>("--er", nm[1]),
+                                  directed, ws, seed);
       }
       throw Error("give --rmat S,E or --er N,M");
     }();
