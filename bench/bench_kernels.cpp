@@ -5,15 +5,20 @@
 // single-rank performance baseline the distributed results build on.
 #include <benchmark/benchmark.h>
 
+#include <string>
+#include <vector>
+
 #include "algebra/centpath.hpp"
 #include "algebra/multpath.hpp"
 #include "algebra/tropical.hpp"
 #include "benchsupport/harness.hpp"
 #include "dist/spgemm_dist.hpp"
 #include "graph/generators.hpp"
+#include "graph/more_generators.hpp"
 #include "sparse/ops.hpp"
 #include "sparse/spgemm.hpp"
 #include "support/parallel.hpp"
+#include "support/strutil.hpp"
 
 namespace {
 
@@ -131,24 +136,83 @@ void BM_SpgemmTropical(benchmark::State& state) {
 }
 BENCHMARK(BM_SpgemmTropical)->Arg(12);
 
-// Same multiply as BM_SpgemmMultpath but through a reused per-call
-// workspace: isolates the cost of the per-call dense accumulator
-// allocation the workspace removes.
-void BM_SpgemmMultpathWorkspace(benchmark::State& state) {
-  const auto g = make_graph(static_cast<int>(state.range(0)), 8);
-  const auto f = make_multpath_frontier(g, std::min<sparse::vid_t>(64, g.n()));
-  sparse::SpgemmWorkspace<Multpath> ws;
+/// The multpath frontier of a mesh-shaped sweep after `steps` Bellman–Ford
+/// steps: 64 sources at the tile centres of a side×side grid, each step
+/// keeping the product entries that improve or tie the path weight found
+/// so far (the MFBF filter).
+Csr<Multpath> grid_frontier(const graph::Graph& g, sparse::vid_t side,
+                            int steps) {
+  const sparse::vid_t tile = side / 8, n = g.n(), nb = 64;
+  std::vector<sparse::vid_t> src(static_cast<std::size_t>(nb));
+  std::vector<double> dist(static_cast<std::size_t>(nb * n),
+                           algebra::kInfWeight);
+  auto best = [&](sparse::vid_t s, sparse::vid_t v) -> double& {
+    return dist[static_cast<std::size_t>(s * n + v)];
+  };
+  sparse::Coo<Multpath> coo(nb, n);
+  for (sparse::vid_t s = 0; s < nb; ++s) {
+    src[static_cast<std::size_t>(s)] =
+        (s / 8 * tile + tile / 2) * side + s % 8 * tile + tile / 2;
+    auto cols = g.adj().row_cols(src[static_cast<std::size_t>(s)]);
+    auto vals = g.adj().row_vals(src[static_cast<std::size_t>(s)]);
+    for (std::size_t i = 0; i < cols.size(); ++i) {
+      best(s, cols[i]) = vals[i];
+      coo.push(s, cols[i], Multpath{vals[i], 1.0});
+    }
+  }
+  auto frontier = Csr<Multpath>::from_coo<MultpathMonoid>(std::move(coo));
+  for (int step = 1; step < steps; ++step) {
+    const auto product = sparse::spgemm<MultpathMonoid>(frontier, g.adj(),
+                                                        BellmanFordAction{});
+    sparse::Coo<Multpath> next(nb, n);
+    for (sparse::vid_t s = 0; s < nb; ++s) {
+      auto cols = product.row_cols(s);
+      auto vals = product.row_vals(s);
+      for (std::size_t i = 0; i < cols.size(); ++i) {
+        if (cols[i] == src[static_cast<std::size_t>(s)] ||
+            vals[i].w > best(s, cols[i])) {
+          continue;
+        }
+        best(s, cols[i]) = vals[i].w;
+        next.push(s, cols[i], vals[i]);
+      }
+    }
+    frontier = Csr<Multpath>::from_coo<MultpathMonoid>(std::move(next));
+  }
+  return frontier;
+}
+
+// One multpath step of the weighted 128×128 grid's sweep, from the
+// frontier after range(0) steps. After 48 steps a product row holds about
+// 610 entries spread over about 10,000 columns, the row shape of the
+// perfbench mesh-w-p64 workload. row_nnz and row_span are the product
+// rows' mean entry count and mean first-to-last column distance.
+void BM_SpgemmGridFrontier(benchmark::State& state) {
+  const sparse::vid_t side = 128;
+  const auto g = graph::grid_2d(side, /*torus=*/false,
+                                graph::WeightSpec{true, 1, 100}, /*seed=*/11);
+  const auto f = grid_frontier(g, side, static_cast<int>(state.range(0)));
   sparse::nnz_t ops = 0;
   for (auto _ : state) {
     sparse::SpgemmStats st;
     auto c = sparse::spgemm<MultpathMonoid>(f, g.adj(), BellmanFordAction{},
-                                            &st, /*b_row_offset=*/0, &ws);
+                                            &st);
     benchmark::DoNotOptimize(c);
     ops = st.ops;
   }
+  const auto c =
+      sparse::spgemm<MultpathMonoid>(f, g.adj(), BellmanFordAction{});
+  double span = 0;
+  for (sparse::vid_t s = 0; s < c.nrows(); ++s) {
+    auto cols = c.row_cols(s);
+    if (!cols.empty()) span += static_cast<double>(cols.back() - cols.front());
+  }
+  state.counters["row_nnz"] =
+      static_cast<double>(c.nnz()) / static_cast<double>(c.nrows());
+  state.counters["row_span"] = span / static_cast<double>(c.nrows());
   set_ops_rate(state, ops);
 }
-BENCHMARK(BM_SpgemmMultpathWorkspace)->Arg(10)->Arg(12)->Arg(14);
+BENCHMARK(BM_SpgemmGridFrontier)->Arg(48);
 
 // Distributed 2D multiply (16 virtual ranks) with the execution pool at
 // 1/2/4/8 threads: the per-rank block multiplies run concurrently, so
@@ -235,18 +299,51 @@ void BM_SliceCols(benchmark::State& state) {
 }
 BENCHMARK(BM_SliceCols)->Arg(12)->Arg(14);
 
+/// Console output as usual, plus one table row per reported run: its time
+/// per iteration, and the ops and ns_per_op counters where it sets them.
+class TableReporter : public benchmark::ConsoleReporter {
+ public:
+  TableReporter()
+      : ConsoleReporter(OO_None),
+        table_({"benchmark", "iterations", "real_ns", "ops", "ns_per_op"}) {}
+
+  void ReportRuns(const std::vector<Run>& runs) override {
+    ConsoleReporter::ReportRuns(runs);
+    for (const Run& r : runs) {
+      auto counter = [&](const char* name, double scale) {
+        const auto it = r.counters.find(name);
+        return it == r.counters.end() ? std::string()
+                                      : compact(it->second.value * scale, 6);
+      };
+      table_.add_row(
+          {r.benchmark_name(), std::to_string(r.iterations),
+           compact(r.GetAdjustedRealTime() * 1e9 /
+                       benchmark::GetTimeUnitMultiplier(r.time_unit),
+                   6),
+           counter("ops", 1), counter("ns_per_op", 1e9)});
+    }
+  }
+
+  const bench::Table& table() const { return table_; }
+
+ private:
+  bench::Table table_;
+};
+
 }  // namespace
 
 // Expanded BENCHMARK_MAIN(): the shared bench flags (--json, --chrome-trace)
 // are peeled off argv before google-benchmark parses the rest, and run
-// artifacts are written once the benchmarks finish.
+// artifacts, with the runs' table, are written once the benchmarks finish.
 int main(int argc, char** argv) {
   const mfbc::bench::BenchArgs args =
       mfbc::bench::extract_bench_args(&argc, argv);
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
+  TableReporter reporter;
+  benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();
-  mfbc::bench::maybe_write_artifacts(args, "kernels");
+  mfbc::bench::maybe_write_artifacts(args, "kernels",
+                                     {{"kernels", &reporter.table()}});
   return 0;
 }

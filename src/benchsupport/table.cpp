@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
@@ -119,7 +120,7 @@ int consume_bench_flag(BenchArgs& args, int argc, char** argv, int i) {
   }
   if (f == "--threads") {
     MFBC_CHECK(i + 1 < argc, "--threads requires a count argument");
-    args.threads = std::stoi(argv[i + 1]);
+    args.threads = parse_int<int>("--threads", argv[i + 1]);
     MFBC_CHECK(args.threads >= 1, "--threads must be >= 1");
     return 2;
   }
@@ -130,7 +131,7 @@ int consume_bench_flag(BenchArgs& args, int argc, char** argv, int i) {
   }
   if (f == "--fault-seed") {
     MFBC_CHECK(i + 1 < argc, "--fault-seed requires a seed argument");
-    args.fault_seed = std::stoull(argv[i + 1]);
+    args.fault_seed = parse_int<std::uint64_t>("--fault-seed", argv[i + 1]);
     return 2;
   }
   if (f == "--tune-profile") {
@@ -147,6 +148,13 @@ int consume_bench_flag(BenchArgs& args, int argc, char** argv, int i) {
   return 0;
 }
 
+/// A bad shared flag ends the process as the CLIs do: `error: <message>`
+/// on stderr and exit status 2.
+[[noreturn]] void flag_error(const Error& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  std::exit(2);
+}
+
 /// Span collection is off by default; a requested trace turns it on for the
 /// rest of the process so instrumented library code starts recording.
 /// An explicit --threads resizes the shared pool before any kernel runs.
@@ -161,15 +169,19 @@ void apply_telemetry_flags(const BenchArgs& args) {
 
 BenchArgs parse_bench_args(int argc, char** argv) {
   BenchArgs args;
-  for (int i = 1; i < argc;) {
-    const int used = consume_bench_flag(args, argc, argv, i);
-    if (used == 0) {
-      throw Error(std::string("unknown bench flag: ") + argv[i] +
-                  " (supported: --small, --csv DIR, --json PATH, "
-                  "--chrome-trace PATH, --threads N, --faults SPEC, "
-                  "--fault-seed S, --tune-profile FILE, --schedule S)");
+  try {
+    for (int i = 1; i < argc;) {
+      const int used = consume_bench_flag(args, argc, argv, i);
+      if (used == 0) {
+        throw Error(std::string("unknown bench flag: ") + argv[i] +
+                    " (supported: --small, --csv DIR, --json PATH, "
+                    "--chrome-trace PATH, --threads N, --faults SPEC, "
+                    "--fault-seed S, --tune-profile FILE, --schedule S)");
+      }
+      i += used;
     }
-    i += used;
+  } catch (const Error& e) {
+    flag_error(e);
   }
   apply_telemetry_flags(args);
   init_session_tuner(args);
@@ -179,13 +191,17 @@ BenchArgs parse_bench_args(int argc, char** argv) {
 BenchArgs extract_bench_args(int* argc, char** argv) {
   BenchArgs args;
   int out = 1;
-  for (int i = 1; i < *argc;) {
-    const int used = consume_bench_flag(args, *argc, argv, i);
-    if (used == 0) {
-      argv[out++] = argv[i++];
-    } else {
-      i += used;
+  try {
+    for (int i = 1; i < *argc;) {
+      const int used = consume_bench_flag(args, *argc, argv, i);
+      if (used == 0) {
+        argv[out++] = argv[i++];
+      } else {
+        i += used;
+      }
     }
+  } catch (const Error& e) {
+    flag_error(e);
   }
   *argc = out;
   apply_telemetry_flags(args);

@@ -62,6 +62,8 @@ struct BenchArgs {
   bool allow_async() const;
 };
 
+/// Numbers parse whole (support/strutil.hpp); a malformed, missing or
+/// unknown flag prints `error: <message>` and exits 2.
 BenchArgs parse_bench_args(int argc, char** argv);
 
 /// Like parse_bench_args, but removes the flags it recognises from

@@ -339,9 +339,12 @@ DistMatrix<typename M::value_type> spgemm_2d(sim::ChargeLog& log,
     // Degenerate single-rank layer: one local Gustavson multiply.
     sparse::SpgemmStats s;
     DistMatrix<TC> c(a.nrows(), b.ncols(), cl);
-    c.block(0, 0) = sparse::spgemm<M>(a.block(0, 0), b.block(0, 0), f, &s,
-                                      /*b_row_offset=*/rk.lo,
-                                      &sparse::tls_spgemm_workspace<TC>());
+    {
+      telemetry::Span kernel_span("dist.spgemm.kernel");
+      c.block(0, 0) = sparse::spgemm<M>(a.block(0, 0), b.block(0, 0), f, &s,
+                                        /*b_row_offset=*/rk.lo);
+    }
+    telemetry::Span charge_span("dist.spgemm.charge");
     charge_multiply(rank0, s.ops, 0);
     return c;
   }
@@ -377,6 +380,9 @@ DistMatrix<typename M::value_type> spgemm_2d(sim::ChargeLog& log,
     links[static_cast<std::size_t>(line)] += static_cast<std::size_t>(per_step);
   }
 
+  // The layer's wall time falls into two child spans: building the C
+  // blocks (the local kernel) and replaying the charges.
+  telemetry::Span kernel_span("dist.spgemm.kernel");
   using Segment = sparse::FoldSegment<TA, TB>;
   std::vector<Csr<TC>> blocks(static_cast<std::size_t>(p2 * p3));
   std::vector<std::vector<sparse::FoldCounts>> counts(blocks.size());
@@ -427,6 +433,8 @@ DistMatrix<typename M::value_type> spgemm_2d(sim::ChargeLog& log,
         std::span<const Segment>(chain), f, counts[t].data(),
         sparse::tls_spgemm_workspace<TC>());
   });
+  kernel_span.end();
+  telemetry::Span charge_span("dist.spgemm.charge");
 
   // Broadcasts [from, to) of step `step`'s slices, A's grid-row slices
   // first, then B's grid-column slices; `post` issues them as nonblocking

@@ -6,9 +6,11 @@
 // optimal O(ops(A,B)) work, which is what the paper's cost model assumes for
 // the local block multiplies (§5.1: "all the considered algorithms have an
 // optimal computation cost"). Every output row accumulates once and emits
-// once, in column order: by scanning the dense occupancy array over the
-// row's column span when that span is small next to the row's count, and by
-// sorting the touched columns otherwise. Both give the same bytes.
+// once, in column order: a column's first product also sets its bit in an
+// occupancy bitmap, and the row is emitted by walking the set bits between
+// the lowest and highest touched words, cleaning the scratch as it goes.
+// Rows collect in the workspace's output buffers, and the result is copied
+// out of them at its exact size.
 //
 // The `b_row_offset` parameter lets a caller multiply against a row *slice*
 // of a conceptually larger B without materializing a huge rowptr: row k of
@@ -21,15 +23,19 @@
 // accumulator and folds into a running row exactly as ewise_union(running,
 // partial) would.
 //
-// Callers that multiply many blocks with the same output width (the
-// distributed variants run O(p^1.5) block multiplies per SpGEMM) pass a
-// SpgemmWorkspace so the dense accumulator arrays are allocated once per
-// thread instead of once per call.
+// The scratch lives in a SpgemmWorkspace. The distributed variants run
+// O(p^1.5) block multiplies per SpGEMM, so a workspace is allocated once per
+// thread (tls_spgemm_workspace, which spgemm also uses when given none)
+// instead of once per call.
 #pragma once
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <limits>
 #include <span>
 #include <typeinfo>
+#include <utility>
 #include <vector>
 
 #include "algebra/concepts.hpp"
@@ -43,25 +49,68 @@ struct SpgemmStats {
   nnz_t ops = 0;
 };
 
-/// Reusable dense-accumulator scratch for spgemm over value type TC.
+namespace detail {
+
+/// Occupancy bitmap of one dense row: bit s is set while slot s holds an
+/// entry, and every set bit lies in words [lo, hi).
+struct RowBits {
+  static constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
+
+  std::vector<std::uint64_t> words;
+  std::size_t lo = kNone, hi = 0;
+
+  /// Room for `slots` slots; new words are clear.
+  void grow(std::size_t slots) {
+    words.resize(std::max(words.size(), (slots + 63) / 64), 0);
+  }
+  /// Clear every bit (after a row was left dirty).
+  void clear() {
+    std::fill(words.begin(), words.end(), 0);
+    lo = kNone;
+    hi = 0;
+  }
+  bool test(std::size_t s) const { return (words[s / 64] >> (s % 64)) & 1; }
+  void set(std::size_t s) {
+    words[s / 64] |= std::uint64_t{1} << (s % 64);
+    lo = std::min(lo, s / 64);
+    hi = std::max(hi, s / 64 + 1);
+  }
+  /// Call fn(s) for every set slot s in increasing order, clearing the bits.
+  template <typename Fn>
+  void drain(Fn&& fn) {
+    for (std::size_t w = lo; w < hi; ++w) {
+      for (std::uint64_t m = std::exchange(words[w], 0); m != 0; m &= m - 1) {
+        fn(w * 64 + static_cast<std::size_t>(std::countr_zero(m)));
+      }
+    }
+    lo = kNone;
+    hi = 0;
+  }
+};
+
+}  // namespace detail
+
+/// Reusable scratch for spgemm and spgemm_fold over value type TC.
 ///
-/// The kernel's invariant is that the scratch is clean (identity / 0) on
-/// exit from every call, so reuse across calls only requires growing to the
-/// widest output seen. Two different monoids can share TC with *different*
-/// identity values (SumMonoid and TropicalMinMonoid are both double), so the
+/// The product row is a dense accumulator with a byte flag per column (the
+/// inner loop's test) and an occupancy bitmap (the emit walk). spgemm_fold
+/// adds a running row sized to its output block's column window (`run_*`):
+/// its bit marks a column some link reached, and its entry is live exactly
+/// when it is not the identity, so a column a fold cancelled can come back.
+/// Rows collect in the output buffers.
+///
+/// The kernels leave the scratch clean (identity / 0) on exit from every
+/// call, so reuse across calls only requires growing to the widest output
+/// seen. Two different monoids can share TC with *different* identity
+/// values (SumMonoid and TropicalMinMonoid are both double), so the
 /// workspace remembers which monoid last filled it and refills when the
 /// monoid changes.
-///
-/// Next to the accumulator of one product row, spgemm_fold keeps a running
-/// row sized to its output block's column window (`run_*`): run_flag is 1
-/// for a live entry and 2 for one a fold cancelled to the identity, which
-/// stays in run_touched so a later fold can bring it back.
 template <typename TC>
 class SpgemmWorkspace {
  public:
   /// Grow (and, on monoid change, refill) the scratch for outputs of width
   /// `ncols` and, for spgemm_fold, a running row of `window` columns,
-  /// accumulated under monoid M.
+  /// accumulated under monoid M; empty the output buffers.
   template <algebra::Monoid M>
   void prepare(vid_t ncols, vid_t window = 0) {
     static_assert(std::is_same_v<typename M::value_type, TC>,
@@ -72,21 +121,21 @@ class SpgemmWorkspace {
     if (monoid_ != tag) {
       acc_.assign(std::max(n, acc_.size()), M::identity());
       occupied_.assign(acc_.size(), 0);
+      bits_.clear();
       run_acc_.assign(std::max(w, run_acc_.size()), M::identity());
-      run_flag_.assign(run_acc_.size(), 0);
+      run_bits_.clear();
       monoid_ = tag;
     } else {
       if (acc_.size() < n) {
         acc_.resize(n, M::identity());
         occupied_.resize(n, 0);
       }
-      if (run_acc_.size() < w) {
-        run_acc_.resize(w, M::identity());
-        run_flag_.resize(w, 0);
-      }
+      if (run_acc_.size() < w) run_acc_.resize(w, M::identity());
     }
-    touched_.clear();
-    run_touched_.clear();
+    bits_.grow(acc_.size());
+    run_bits_.grow(run_acc_.size());
+    out_col_.clear();
+    out_val_.clear();
   }
 
   /// Mark the scratch dirty so the next prepare() refills it. The kernels
@@ -96,18 +145,20 @@ class SpgemmWorkspace {
 
   std::vector<TC>& acc() { return acc_; }
   std::vector<unsigned char>& occupied() { return occupied_; }
-  std::vector<vid_t>& touched() { return touched_; }
+  detail::RowBits& bits() { return bits_; }
   std::vector<TC>& run_acc() { return run_acc_; }
-  std::vector<unsigned char>& run_flag() { return run_flag_; }
-  std::vector<vid_t>& run_touched() { return run_touched_; }
+  detail::RowBits& run_bits() { return run_bits_; }
+  std::vector<vid_t>& out_col() { return out_col_; }
+  std::vector<TC>& out_val() { return out_val_; }
 
  private:
   std::vector<TC> acc_;
   std::vector<unsigned char> occupied_;
-  std::vector<vid_t> touched_;
+  detail::RowBits bits_;
   std::vector<TC> run_acc_;
-  std::vector<unsigned char> run_flag_;
-  std::vector<vid_t> run_touched_;
+  detail::RowBits run_bits_;
+  std::vector<vid_t> out_col_;
+  std::vector<TC> out_val_;
   const std::type_info* monoid_ = nullptr;  ///< monoid that filled the scratch
 };
 
@@ -119,75 +170,48 @@ SpgemmWorkspace<TC>& tls_spgemm_workspace() {
   return ws;
 }
 
-/// Upper bound on nnz(C) for reserving the output arrays: per output row,
-/// the row's elementary-product count capped at the output width. One cheap
-/// O(nnz(A)) pass — no accumulation.
-template <typename TA, typename TB>
-nnz_t spgemm_capacity_hint(const Csr<TA>& a, const Csr<TB>& b,
-                           vid_t b_row_offset = 0) {
-  const nnz_t width = static_cast<nnz_t>(b.ncols());
-  nnz_t total = 0;
-  for (vid_t i = 0; i < a.nrows(); ++i) {
-    nnz_t row_ops = 0;
-    for (vid_t k : a.row_cols(i)) {
-      const vid_t kb = k - b_row_offset;
-      if (kb >= 0 && kb < b.nrows()) row_ops += b.row_nnz(kb);
-    }
-    total += std::min(row_ops, width);
-  }
-  return total;
-}
-
 namespace detail {
 
-/// Append one accumulated row to out_col/out_val in column order and clean
-/// its scratch. Column j sits at slot j - base of acc/flag; an entry is
-/// emitted when its flag is 1 and its value is not M's identity. When the
-/// touched columns span a window [lo, hi] with hi − lo < 8·|touched|, the
-/// window is scanned in place; otherwise `touched` is sorted.
+/// Append the row held in acc (slot s is column base + s) to the
+/// workspace's output buffers in column order, skipping identities, and
+/// clean acc, its bitmap and, when given, its byte flags.
 template <algebra::Monoid M>
-void emit_row(std::vector<vid_t>& touched, vid_t base,
+void emit_row(RowBits& bits, vid_t base,
               std::vector<typename M::value_type>& acc,
-              std::vector<unsigned char>& flag, std::vector<vid_t>& out_col,
-              std::vector<typename M::value_type>& out_val) {
-  if (touched.empty()) return;
-  auto take = [&](vid_t j) {
-    const auto s = static_cast<std::size_t>(j - base);
-    if (flag[s] == 1 && !M::is_identity(acc[s])) {
-      out_col.push_back(j);
+              unsigned char* occupied,
+              SpgemmWorkspace<typename M::value_type>& ws) {
+  auto& out_col = ws.out_col();
+  auto& out_val = ws.out_val();
+  bits.drain([&](std::size_t s) {
+    if (occupied != nullptr) occupied[s] = 0;
+    if (!M::is_identity(acc[s])) {
+      out_col.push_back(base + static_cast<vid_t>(s));
       out_val.push_back(std::move(acc[s]));
     }
-    flag[s] = 0;
     acc[s] = M::identity();
-  };
-  const auto [lo, hi] = std::minmax_element(touched.begin(), touched.end());
-  if (*hi - *lo < 8 * static_cast<vid_t>(touched.size())) {
-    for (vid_t j = *lo, end = *hi; j <= end; ++j) {
-      if (flag[static_cast<std::size_t>(j - base)] != 0) take(j);
-    }
-  } else {
-    std::sort(touched.begin(), touched.end());
-    for (vid_t j : touched) take(j);
-  }
-  touched.clear();
+  });
 }
 
 /// Accumulate A's entries [first, last) of one row against B into the
-/// scratch: entry (k, a) meets B row k − b_row_offset, restricted to
-/// columns [col_lo, col_hi), and k outside B contributes nothing. A
-/// column's first product is assigned, later ones combine into it.
-/// Returns the elementary products.
+/// product row of `ws`: entry (k, a) meets B row k − b_row_offset,
+/// restricted to columns [col_lo, col_hi), and k outside B contributes
+/// nothing. A column's first product is assigned and sets its bit, later
+/// ones combine into it. Returns the elementary products.
 template <algebra::Monoid M, typename TA, typename TB, typename F>
 nnz_t accumulate_row(const Csr<TA>& a, nnz_t first, nnz_t last,
                      const Csr<TB>& b, vid_t b_row_offset, vid_t col_lo,
                      vid_t col_hi, F& f,
-                     std::vector<typename M::value_type>& acc,
-                     std::vector<unsigned char>& occupied,
-                     std::vector<vid_t>& touched) {
+                     SpgemmWorkspace<typename M::value_type>& ws) {
   const vid_t* acol = a.col().data();
   const TA* aval = a.val().data();
   const vid_t* bcol = b.col().data();
   const TB* bval = b.val().data();
+  typename M::value_type* acc = ws.acc().data();
+  unsigned char* occupied = ws.occupied().data();
+  // The word bounds stay in registers; the bitmap's stores could alias them.
+  RowBits& bits = ws.bits();
+  std::uint64_t* words = bits.words.data();
+  std::size_t lo = bits.lo, hi = bits.hi;
   nnz_t ops = 0;
   for (nnz_t t = first; t < last; ++t) {
     const vid_t k = acol[t] - b_row_offset;
@@ -199,46 +223,28 @@ nnz_t accumulate_row(const Csr<TA>& a, nnz_t first, nnz_t last,
       typename M::value_type prod = f(aval[t], bval[u]);
       if (!occupied[ju]) {
         occupied[ju] = 1;
-        touched.push_back(bcol[u]);
+        words[ju / 64] |= std::uint64_t{1} << (ju % 64);
+        lo = std::min(lo, ju / 64);
+        hi = std::max(hi, ju / 64 + 1);
         acc[ju] = std::move(prod);
       } else {
         acc[ju] = M::combine(acc[ju], prod);
       }
     }
   }
+  bits.lo = lo;
+  bits.hi = hi;
   return ops;
 }
 
-/// Gustavson core over caller-provided scratch. acc/occupied must be clean
-/// (identity / 0) on entry and are clean again on normal exit.
-template <algebra::Monoid M, typename TA, typename TB, typename F>
-Csr<typename M::value_type> spgemm_core(const Csr<TA>& a, const Csr<TB>& b,
-                                        F& f, vid_t b_row_offset, nnz_t& ops,
-                                        std::vector<typename M::value_type>& acc,
-                                        std::vector<unsigned char>& occupied,
-                                        std::vector<vid_t>& touched) {
-  using TC = typename M::value_type;
-  const vid_t ncols = b.ncols();
-
-  std::vector<nnz_t> rowptr(static_cast<std::size_t>(a.nrows()) + 1, 0);
-  std::vector<vid_t> out_col;
-  std::vector<TC> out_val;
-  {
-    const nnz_t hint = spgemm_capacity_hint(a, b, b_row_offset);
-    out_col.reserve(static_cast<std::size_t>(hint));
-    out_val.reserve(static_cast<std::size_t>(hint));
-  }
-
-  for (vid_t i = 0; i < a.nrows(); ++i) {
-    ops += accumulate_row<M>(a, a.rowptr()[static_cast<std::size_t>(i)],
-                             a.rowptr()[static_cast<std::size_t>(i) + 1], b,
-                             b_row_offset, 0, ncols, f, acc, occupied,
-                             touched);
-    emit_row<M>(touched, 0, acc, occupied, out_col, out_val);
-    rowptr[static_cast<std::size_t>(i) + 1] = static_cast<nnz_t>(out_col.size());
-  }
-  return Csr<TC>(a.nrows(), ncols, std::move(rowptr), std::move(out_col),
-                 std::move(out_val));
+/// The nrows × ncols matrix whose rows were collected in ws's output
+/// buffers, copied out at its exact size.
+template <typename TC>
+Csr<TC> take_output(vid_t nrows, vid_t ncols, std::vector<nnz_t> rowptr,
+                    SpgemmWorkspace<TC>& ws) {
+  return Csr<TC>(nrows, ncols, std::move(rowptr),
+                 std::vector<vid_t>(ws.out_col().begin(), ws.out_col().end()),
+                 std::vector<TC>(ws.out_val().begin(), ws.out_val().end()));
 }
 
 }  // namespace detail
@@ -254,28 +260,27 @@ Csr<typename M::value_type> spgemm(const Csr<TA>& a, const Csr<TB>& b, F f,
   // whole of it); slices must lie inside [0, a.ncols()).
   MFBC_CHECK(b_row_offset >= 0 && b_row_offset + b.nrows() <= a.ncols(),
              "spgemm B slice out of the inner-dimension range");
+  if (ws == nullptr) ws = &tls_spgemm_workspace<TC>();
 
   const vid_t ncols = b.ncols();
+  ws->template prepare<M>(ncols);
+  std::vector<nnz_t> rowptr(static_cast<std::size_t>(a.nrows()) + 1, 0);
   nnz_t ops = 0;
-  Csr<TC> c;
-  if (ws != nullptr) {
-    ws->template prepare<M>(ncols);
-    try {
-      c = detail::spgemm_core<M>(a, b, f, b_row_offset, ops, ws->acc(),
-                                 ws->occupied(), ws->touched());
-    } catch (...) {
-      ws->invalidate();
-      throw;
+  try {
+    for (vid_t i = 0; i < a.nrows(); ++i) {
+      const auto r = static_cast<std::size_t>(i);
+      ops += detail::accumulate_row<M>(a, a.rowptr()[r], a.rowptr()[r + 1], b,
+                                       b_row_offset, 0, ncols, f, *ws);
+      detail::emit_row<M>(ws->bits(), 0, ws->acc(), ws->occupied().data(),
+                          *ws);
+      rowptr[r + 1] = static_cast<nnz_t>(ws->out_col().size());
     }
-  } else {
-    std::vector<TC> acc(static_cast<std::size_t>(ncols), M::identity());
-    std::vector<unsigned char> occupied(static_cast<std::size_t>(ncols), 0);
-    std::vector<vid_t> touched;
-    c = detail::spgemm_core<M>(a, b, f, b_row_offset, ops, acc, occupied,
-                               touched);
+  } catch (...) {
+    ws->invalidate();
+    throw;
   }
   if (stats != nullptr) stats->ops += ops;
-  return c;
+  return detail::take_output(a.nrows(), ncols, std::move(rowptr), *ws);
 }
 
 /// One link of a spgemm_fold chain: output rows [row_lo, row_hi) receive
@@ -333,36 +338,10 @@ Csr<typename M::value_type> spgemm_fold(
   ws.template prepare<M>(ncols, col_hi - col_lo);
   auto& acc = ws.acc();
   auto& occupied = ws.occupied();
-  auto& touched = ws.touched();
   auto& run = ws.run_acc();
-  auto& run_flag = ws.run_flag();
-  auto& run_touched = ws.run_touched();
-
-  // Reserve per row the chain's products capped at the window width, as
-  // spgemm_capacity_hint does for one product.
+  detail::RowBits& run_bits = ws.run_bits();
+  const auto base = static_cast<std::size_t>(col_lo);
   std::vector<nnz_t> rowptr(static_cast<std::size_t>(nrows) + 1, 0);
-  std::vector<vid_t> out_col;
-  std::vector<TC> out_val;
-  {
-    nnz_t hint = 0;
-    for (vid_t x = 0; x < nrows; ++x) {
-      nnz_t row_ops = 0;
-      for (const auto& sg : segs) {
-        if (x < sg.row_lo || x >= sg.row_hi) continue;
-        const auto [first, last] =
-            sg.a->row_run(x - sg.a_row_offset, sg.k_lo, sg.k_hi);
-        const vid_t* acol = sg.a->col().data();
-        for (nnz_t t = first; t < last; ++t) {
-          const vid_t kb = acol[t] - sg.b_row_offset;
-          if (kb >= 0 && kb < sg.b->nrows()) row_ops += sg.b->row_nnz(kb);
-        }
-      }
-      hint += std::min(row_ops, static_cast<nnz_t>(col_hi - col_lo));
-    }
-    out_col.reserve(static_cast<std::size_t>(hint));
-    out_val.reserve(static_cast<std::size_t>(hint));
-  }
-
   try {
     for (vid_t x = 0; x < nrows; ++x) {
       nnz_t running = 0;
@@ -375,58 +354,36 @@ Csr<typename M::value_type> spgemm_fold(
             sg.a->row_run(x - sg.a_row_offset, sg.k_lo, sg.k_hi);
         n.ops += detail::accumulate_row<M>(*sg.a, first, last, *sg.b,
                                            sg.b_row_offset, sg.col_lo,
-                                           sg.col_hi, f, acc, occupied,
-                                           touched);
-        // Fold the partial into the running row, column by column.
-        for (vid_t j : touched) {
-          const auto ju = static_cast<std::size_t>(j);
-          TC v = std::move(acc[ju]);
-          acc[ju] = M::identity();
-          occupied[ju] = 0;
-          if (M::is_identity(v)) continue;
+                                           sg.col_hi, f, ws);
+        // Fold the partial into the running row, column by column. A column
+        // no link reached yet, or one a fold cancelled, takes the partial.
+        ws.bits().drain([&](std::size_t j) {
+          TC v = std::move(acc[j]);
+          acc[j] = M::identity();
+          occupied[j] = 0;
+          if (M::is_identity(v)) return;
           ++n.partial_nnz;
-          const auto rj = static_cast<std::size_t>(j - col_lo);
-          switch (run_flag[rj]) {
-            case 0:
-              run_touched.push_back(j);
-              [[fallthrough]];
-            case 2:
-              run_flag[rj] = 1;
-              run[rj] = std::move(v);
-              ++running;
-              break;
-            default: {
-              TC r = M::combine(run[rj], v);
-              if (M::is_identity(r)) {
-                run_flag[rj] = 2;
-                run[rj] = M::identity();
-                --running;
-              } else {
-                run[rj] = std::move(r);
-              }
-            }
+          const std::size_t rj = j - base;
+          if (!run_bits.test(rj)) {
+            run_bits.set(rj);
+          } else if (!M::is_identity(run[rj])) {
+            run[rj] = M::combine(run[rj], v);
+            if (M::is_identity(run[rj])) --running;
+            return;
           }
-        }
-        touched.clear();
+          run[rj] = std::move(v);
+          ++running;
+        });
       }
-      detail::emit_row<M>(run_touched, col_lo, run, run_flag, out_col,
-                          out_val);
+      detail::emit_row<M>(run_bits, col_lo, run, nullptr, ws);
       rowptr[static_cast<std::size_t>(x) + 1] =
-          static_cast<nnz_t>(out_col.size());
+          static_cast<nnz_t>(ws.out_col().size());
     }
   } catch (...) {
     ws.invalidate();
     throw;
   }
-  // The reservation can exceed the block several times over (products
-  // that land on one column); give a mostly unused one back, since the
-  // block may outlive the multiply.
-  if (out_col.capacity() > 2 * out_col.size()) {
-    out_col.shrink_to_fit();
-    out_val.shrink_to_fit();
-  }
-  return Csr<TC>(nrows, ncols, std::move(rowptr), std::move(out_col),
-                 std::move(out_val));
+  return detail::take_output(nrows, ncols, std::move(rowptr), ws);
 }
 
 /// Count ops(A,B) without computing the product (used by cost models and by

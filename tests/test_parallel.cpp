@@ -3,13 +3,14 @@
 // plain serial loop for nested regions, and — the property the dist/mfbc
 // kernels rely on — produce bit-identical results, stats, and ledger
 // charges at every thread count. Also covers the reusable SpGEMM
-// accumulator workspace and the output capacity hint.
+// accumulator workspace.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <map>
 #include <mutex>
 #include <set>
+#include <span>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -272,21 +273,63 @@ TEST(SpgemmWorkspace, InvalidatedAfterThrowingBridgeThenRecovers) {
             sparse::spgemm<SumMonoid>(a, b, Times{}));
 }
 
-TEST(Spgemm, CapacityHintBoundsOutputNnz) {
-  for (std::uint64_t seed : {41, 42, 43}) {
-    auto a = random_csr(14, 22, 0.3, seed);
-    auto b = random_csr(22, 18, 0.3, seed + 7);
-    const nnz_t hint = sparse::spgemm_capacity_hint(a, b);
-    auto c = sparse::spgemm<SumMonoid>(a, b, Times{});
-    EXPECT_GE(hint, c.nnz());
-    EXPECT_LE(hint, static_cast<nnz_t>(a.nrows()) *
-                        static_cast<nnz_t>(b.ncols()));
-    // Row-sliced B (the SUMMA k-slice case).
-    auto bs = sparse::slice_rows(b, 5, 17);
-    const nnz_t slice_hint = sparse::spgemm_capacity_hint(a, bs, 5);
-    auto cs = sparse::spgemm<SumMonoid>(a, bs, Times{}, nullptr, 5);
-    EXPECT_GE(slice_hint, cs.nnz());
+TEST(SpgemmWorkspace, WideThenNarrowOutputsAcrossMonoidsMatchFreshOnes) {
+  // One workspace serves a 16,384-wide output, then a 40-wide one, under
+  // SumMonoid and TropicalMinMonoid in turn: every call must match a call
+  // on a workspace of its own.
+  sparse::SpgemmWorkspace<double> ws;
+  const auto a = random_csr(12, 20, 0.4, 51);
+  const auto wide = random_csr(20, 16384, 0.01, 52);
+  const auto narrow = random_csr(20, 40, 0.4, 53);
+  auto sum = [&](const Csr<double>& b, sparse::SpgemmWorkspace<double>& w) {
+    return sparse::spgemm<SumMonoid>(a, b, Times{}, nullptr, 0, &w);
+  };
+  auto min = [&](const Csr<double>& b, sparse::SpgemmWorkspace<double>& w) {
+    return sparse::spgemm<TropicalMinMonoid>(a, b, Extend{}, nullptr, 0, &w);
+  };
+  for (const Csr<double>* b : {&wide, &narrow, &wide}) {
+    sparse::SpgemmWorkspace<double> f1, f2;
+    EXPECT_EQ(sum(*b, ws), sum(*b, f1));
+    EXPECT_EQ(min(*b, ws), min(*b, f2));
   }
+  EXPECT_GT(sum(wide, ws).nnz(), 0);
+}
+
+TEST(SpgemmWorkspace, ThrowMidWideRowThenNextCallMatchesAFreshWorkspace) {
+  // The bridge throws with the row's bits set in several words; whatever
+  // the unwinding left behind must not reach the next call, wide or
+  // narrow, nor a fold on the same workspace.
+  const auto a = random_csr(6, 20, 0.6, 61);
+  const auto wide = random_csr(20, 16384, 0.02, 62);
+  const auto narrow = random_csr(20, 40, 0.4, 63);
+  sparse::SpgemmWorkspace<double> ws;
+  int calls = 0;
+  auto throwing = [&](double x, double y) -> double {
+    if (++calls == 2000) throw std::runtime_error("bridge");
+    return x * y;
+  };
+  EXPECT_THROW(sparse::spgemm<SumMonoid>(a, wide, throwing, nullptr, 0, &ws),
+               std::runtime_error);
+  EXPECT_LT(calls, sparse::spgemm_ops(a, wide));  // it stopped mid-product
+  for (const Csr<double>* b : {&wide, &narrow}) {
+    sparse::SpgemmWorkspace<double> fresh;
+    EXPECT_EQ(sparse::spgemm<SumMonoid>(a, *b, Times{}, nullptr, 0, &ws),
+              sparse::spgemm<SumMonoid>(a, *b, Times{}, nullptr, 0, &fresh));
+  }
+  calls = 0;
+  EXPECT_THROW(sparse::spgemm<SumMonoid>(a, wide, throwing, nullptr, 0, &ws),
+               std::runtime_error);
+  using Seg = sparse::FoldSegment<double, double>;
+  const std::vector<Seg> segs{{&a, &wide, 0, 6, 0, 0, 10, 0, 100, 16000},
+                              {&a, &wide, 0, 6, 0, 10, 20, 0, 100, 16000}};
+  std::vector<sparse::FoldCounts> c1(segs.size()), c2(segs.size());
+  sparse::SpgemmWorkspace<double> fresh;
+  EXPECT_EQ(sparse::spgemm_fold<SumMonoid>(6, 16384, 100, 16000,
+                                           std::span<const Seg>(segs),
+                                           Times{}, c1.data(), ws),
+            sparse::spgemm_fold<SumMonoid>(6, 16384, 100, 16000,
+                                           std::span<const Seg>(segs),
+                                           Times{}, c2.data(), fresh));
 }
 
 // ---- The determinism contract: bit-identical at every thread count ----

@@ -330,9 +330,9 @@ TEST(Spgemm, InnerDimensionMismatchThrows) {
 }
 
 // ---------------------------------------------------------------------------
-// Row emission: scanning the occupancy window and sorting `touched` must
-// give the same bytes. Each monoid's case multiplies A (values of the
-// monoid) by B (double weights) through a bridge that applies the weight.
+// Row emission walks the occupancy bitmap word by word. Each monoid's case
+// multiplies A (values of the monoid) by B (double weights) through a
+// bridge that applies the weight, into rows that cross word boundaries.
 
 struct SumCase {
   using M = SumMonoid;
@@ -397,45 +397,62 @@ Csr<typename C::M::value_type> map_reference(const Csr<TA>& a,
 }
 
 template <typename C>
-void check_emit_paths() {
+void check_bitmap_emit() {
   using TC = typename C::M::value_type;
-  const vid_t n = 40, k = 8;
-  // Row 0 touches every column (scanned); row 1 only columns 0 and n−1
-  // (sorted); row 2 cancels its only column (scanned); row 3 cancels column
-  // 0 and keeps n−1 (sorted).
-  Coo<TC> ac(4, k);
-  for (vid_t x = 0; x < 4; ++x) ac.push(0, x, C::value(static_cast<int>(x)));
-  ac.push(1, 4, C::value(5));
-  ac.push(2, 5, C::cancel(true));
-  ac.push(2, 6, C::cancel(false));
-  ac.push(3, 5, C::cancel(true));
-  ac.push(3, 6, C::cancel(false));
-  ac.push(3, 7, C::value(7));
+  const vid_t n = 16384, k = 10;
+  // Row 0 touches the columns either side of the first word boundaries and
+  // the last column; row 1 every column of [0, 200); row 2 cancels its only
+  // column; row 3 cancels column 63 and keeps 64 and n−1; row 4 is empty;
+  // row 5 touches the last and first columns only.
+  Coo<TC> ac(6, k);
+  ac.push(0, 0, C::value(0));
+  ac.push(0, 1, C::value(1));
+  ac.push(1, 2, C::value(2));
+  ac.push(1, 3, C::value(3));
+  ac.push(2, 4, C::cancel(true));
+  ac.push(2, 5, C::cancel(false));
+  ac.push(3, 6, C::cancel(true));
+  ac.push(3, 7, C::cancel(false));
+  ac.push(3, 8, C::value(8));
+  ac.push(5, 9, C::value(9));
   Coo<double> bc(k, n);
-  for (vid_t x = 0; x < 4; ++x) {
-    for (vid_t j = x; j < n; j += 2) bc.push(x, j, 1.0 + static_cast<double>(x));
+  for (vid_t j : {vid_t{0}, vid_t{63}, vid_t{64}, vid_t{127}, vid_t{128},
+                  n - 1}) {
+    bc.push(0, j, 1.0 + static_cast<double>(j % 5));
   }
-  bc.push(4, 0, 2.0);
-  bc.push(4, n - 1, 3.0);
-  bc.push(5, 0, 1.0);
-  bc.push(6, 0, 1.0);
-  bc.push(7, n - 1, 1.5);
+  for (vid_t j : {vid_t{63}, vid_t{64}, n - 1}) bc.push(1, j, 2.0);
+  for (vid_t j = 0; j < 200; ++j) {
+    bc.push(2 + j % 2, j, 1.0 + static_cast<double>(j % 3));
+  }
+  bc.push(4, 64, 1.0);
+  bc.push(5, 64, 1.0);
+  bc.push(6, 63, 1.0);
+  bc.push(7, 63, 1.0);
+  bc.push(8, 64, 2.0);
+  bc.push(8, n - 1, 3.0);
+  bc.push(9, n - 1, 1.5);
+  bc.push(9, 0, 2.5);
   // KeepFirst stores the identity-valued operands the cancelling rows use.
   const auto a = Csr<TC>::template from_coo<KeepFirst<TC>>(std::move(ac));
   const auto b = Csr<double>::from_coo<SumMonoid>(std::move(bc));
-  const auto c = spgemm<typename C::M>(a, b, C{});
+  SpgemmWorkspace<TC> ws;
+  const auto c = spgemm<typename C::M>(a, b, C{}, nullptr, 0, &ws);
   EXPECT_EQ(c, (map_reference<C>(a, b)));
-  EXPECT_EQ(c.row_nnz(0), n);
-  EXPECT_EQ(c.row_nnz(1), 2);
+  EXPECT_EQ(c.row_nnz(0), 6);
+  EXPECT_EQ(c.row_nnz(1), 200);
   EXPECT_EQ(c.row_nnz(2), 0);
-  EXPECT_EQ(c.row_nnz(3), 1);
+  EXPECT_EQ(c.row_nnz(3), 2);
+  EXPECT_EQ(c.row_nnz(4), 0);
+  EXPECT_EQ(c.row_nnz(5), 2);
+  // The emit left the workspace clean: a second call gives the same bytes.
+  EXPECT_EQ(spgemm<typename C::M>(a, b, C{}, nullptr, 0, &ws), c);
 }
 
-TEST(Spgemm, ScanAndSortEmitAgreeForEveryMonoid) {
-  check_emit_paths<SumCase>();
-  check_emit_paths<TropicalCase>();
-  check_emit_paths<MultpathCase>();
-  check_emit_paths<CentpathCase>();
+TEST(Spgemm, BitmapEmitMatchesTheMapReferenceForEveryMonoid) {
+  check_bitmap_emit<SumCase>();
+  check_bitmap_emit<TropicalCase>();
+  check_bitmap_emit<MultpathCase>();
+  check_bitmap_emit<CentpathCase>();
 }
 
 // ---------------------------------------------------------------------------
@@ -635,6 +652,76 @@ TEST(SpgemmFold, ThrowingBridgeLeavesTheNextCallClean) {
             spgemm_fold<TropicalMinMonoid>(10, 15, 0, 15,
                                            std::span<const Seg>(segs),
                                            std::plus<>{}, c2.data(), fresh));
+}
+
+TEST(SpgemmFold, WindowOffTheWordGridMatchesTheChain) {
+  // Output columns [37, 261) of a 300-wide block: running slot j − 37 and
+  // product slot j sit in words that do not line up.
+  const vid_t m = 9, k = 24, n = 300;
+  const auto a = nondyadic_csr(m, k, 0.4, 91);
+  const auto b = nondyadic_csr(k, n, 0.3, 92);
+  const Csr<double> b0 = slice_rows(b, 0, 12), b1 = slice_rows(b, 12, 24);
+  using Seg = FoldSegment<double, double>;
+  SpgemmWorkspace<double> ws;
+  expect_fold_matches_chain<SumMonoid>(
+      m, n, 37, 261,
+      std::vector<Seg>{{&a, &b0, 0, m, 0, 0, 12, 0, 37, 261},
+                       {&a, &b1, 0, m, 0, 12, 24, 12, 37, 261}},
+      Times{}, ws);
+  std::vector<Seg> bc;
+  for (const auto& [lo, hi] :
+       {std::pair<vid_t, vid_t>{37, 101}, {101, 165}, {165, 261}}) {
+    bc.push_back({&a, &b0, 0, m, 0, 0, 12, 0, lo, hi});
+    bc.push_back({&a, &b1, 0, m, 0, 12, 24, 12, lo, hi});
+  }
+  expect_fold_matches_chain<SumMonoid>(m, n, 37, 261, bc, Times{}, ws);
+  expect_fold_matches_chain<TropicalMinMonoid>(m, n, 37, 261, bc,
+                                               std::plus<>{}, ws);
+}
+
+TEST(SpgemmFold, CancelledColumnRevivesAcrossAWordBoundary) {
+  // Window [5, 200): columns 68 and 69 sit in running slots 63 and 64, and
+  // column 64 starts the product row's second word. Row 0's products per
+  // link, at columns (64, 68, 69):
+  //   link 0: ( 2,     1,    1  )
+  //   link 1: (−2,    −1,    0.5)  64 and 68 cancel
+  //   link 2: ( –,     0.25, –  )  68 comes back
+  //   link 3: ( 0.125, –,   −1.5)  64 comes back, 69 cancels
+  // Row 1 meets column 68 through link 2 only.
+  const vid_t n = 200;
+  Coo<double> ac(2, 4), bc(4, n);
+  for (vid_t x = 0; x < 4; ++x) ac.push(0, x, 1.0);
+  ac.push(1, 2, 1.0);
+  bc.push(0, 64, 2.0);
+  bc.push(0, 68, 1.0);
+  bc.push(0, 69, 1.0);
+  bc.push(1, 64, -2.0);
+  bc.push(1, 68, -1.0);
+  bc.push(1, 69, 0.5);
+  bc.push(2, 68, 0.25);
+  bc.push(3, 64, 0.125);
+  bc.push(3, 69, -1.5);
+  const auto a = Csr<double>::from_coo<SumMonoid>(std::move(ac));
+  const auto b = Csr<double>::from_coo<SumMonoid>(std::move(bc));
+  using Seg = FoldSegment<double, double>;
+  std::vector<Seg> segs;
+  for (vid_t x = 0; x < 4; ++x) {
+    segs.push_back({&a, &b, 0, 2, 0, x, x + 1, 0, 5, n});
+  }
+  SpgemmWorkspace<double> ws;
+  expect_fold_matches_chain<SumMonoid>(2, n, 5, n, segs, Times{}, ws);
+  std::vector<FoldCounts> counts(segs.size());
+  const auto c = spgemm_fold<SumMonoid>(2, n, 5, n, std::span<const Seg>(segs),
+                                        Times{}, counts.data(), ws);
+  ASSERT_EQ(c.row_nnz(0), 2);
+  EXPECT_EQ(c.row_cols(0)[0], 64);
+  EXPECT_EQ(c.row_vals(0)[0], 0.125);
+  EXPECT_EQ(c.row_cols(0)[1], 68);
+  EXPECT_EQ(c.row_vals(0)[1], 0.25);
+  EXPECT_EQ(c.row_nnz(1), 1);
+  EXPECT_EQ(counts[1].running_nnz, 3);
+  EXPECT_EQ(counts[2].running_nnz, 1);
+  EXPECT_EQ(counts[3].running_nnz, 2 + 1);  // row 1 holds column 68 by then
 }
 
 }  // namespace
