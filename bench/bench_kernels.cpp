@@ -214,6 +214,51 @@ void BM_SpgemmGridFrontier(benchmark::State& state) {
 }
 BENCHMARK(BM_SpgemmGridFrontier)->Arg(48);
 
+// The same multpath step as one distributed multiply on 64 ranks, at one
+// pool thread, with B's homes read from a warm HomeCache: two layer shapes
+// the mesh-w-p64 workload runs. Arg 0 runs 3D-A,BC[16x2x2], whose layers
+// each take a sixteenth of B's columns, so most rows of a B block of the
+// banded grid adjacency are empty; Arg 1 runs 3D-B,AC[8x2x4].
+void BM_DistSpgemmGridLayer(benchmark::State& state) {
+  using dist::DistMatrix;
+  using dist::Layout;
+  using dist::Range;
+  const sparse::vid_t side = 128;
+  const auto g = graph::grid_2d(side, /*torus=*/false,
+                                graph::WeightSpec{true, 1, 100}, /*seed=*/11);
+  const auto f = grid_frontier(g, side, 48);
+  const dist::Plan plan =
+      state.range(0) == 0
+          ? dist::Plan{16, 2, 2, dist::Variant1D::kA, dist::Variant2D::kBC}
+          : dist::Plan{8, 2, 4, dist::Variant1D::kB, dist::Variant2D::kAC};
+  const int threads = support::num_threads();
+  support::set_threads(1);
+  const int p = 64;
+  sim::Sim sim(p);
+  const Layout lf{0, 8, 8, Range{0, f.nrows()}, Range{0, g.n()}, false};
+  const Layout la{0, 8, 8, Range{0, g.n()}, Range{0, g.n()}, false};
+  const auto df = DistMatrix<Multpath>::scatter<MultpathMonoid>(sim, f, lf);
+  const auto da =
+      DistMatrix<double>::scatter<TropicalMinMonoid>(sim, g.adj(), la);
+  dist::HomeCache<double> cache;
+  auto multiply = [&](dist::DistSpgemmStats* st) {
+    return dist::spgemm<MultpathMonoid>(sim, plan, df, da, BellmanFordAction{},
+                                        lf, st, &cache);
+  };
+  benchmark::DoNotOptimize(multiply(nullptr));  // maps B into the cache
+  sparse::nnz_t ops = 0;
+  for (auto _ : state) {
+    dist::DistSpgemmStats dst;
+    auto c = multiply(&dst);
+    benchmark::DoNotOptimize(c);
+    ops = static_cast<sparse::nnz_t>(dst.total_ops);
+  }
+  state.SetLabel(plan.to_string());
+  set_ops_rate(state, ops);
+  support::set_threads(threads);
+}
+BENCHMARK(BM_DistSpgemmGridLayer)->Arg(0)->Arg(1);
+
 // Distributed 2D multiply (16 virtual ranks) with the execution pool at
 // 1/2/4/8 threads: the per-rank block multiplies run concurrently, so
 // ns_per_op should drop with the thread count while the result (and every

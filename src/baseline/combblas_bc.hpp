@@ -43,8 +43,8 @@ using graph::Weight;
 
 struct CombBlasOptions {
   graph::vid_t batch_size = 64;
-  std::vector<graph::vid_t> sources;  ///< empty = all vertices
-  dist::TuneOptions tune;
+  std::vector<graph::vid_t> sources{};  ///< empty = all vertices
+  dist::TuneOptions tune{};
   /// Optional adaptive tuner (tune/calibrate.hpp). When set, every multiply
   /// re-plans through it over the square-grid 2D plan space; the fixed SUMMA
   /// plan seeds each stream's hysteresis, so the tuned run switches away
@@ -53,14 +53,14 @@ struct CombBlasOptions {
   tune::Tuner* tuner = nullptr;
   /// Durable checkpoint directory and resume flag, forwarded to the shared
   /// batch driver (core/batch_driver.hpp BatchRunOptions).
-  std::string checkpoint_dir;
+  std::string checkpoint_dir{};
   bool resume = false;
   /// Per-committed-batch observer with an early-stop vote (the adaptive
   /// sampler's hook; core/batch_driver.hpp BatchObserver for the full
   /// contract). Non-empty deltas are unpermuted to the caller's original
   /// vertex ids before the call; resume-replayed batches arrive with an
   /// empty delta, pass-through.
-  core::BatchRunOptions::BatchObserver on_batch;
+  core::BatchRunOptions::BatchObserver on_batch{};
 };
 
 using CombBlasStats = core::DistBcStats;

@@ -279,11 +279,16 @@ nnz_t nnz_in_cols(const DistMatrix<T>& m, int i, int j, Range r) {
 /// chain of block products with sparse::spgemm_fold, in the order the
 /// steps fold it — AB: the steps in order; AC: per step's rows, the grid
 /// column's i-blocks; BC: per step's columns, the grid row's j-blocks — so
-/// no operand slice, partial product or re-union is ever built. The step
-/// loop then replays the charge sequence of the step-by-step schedule from
-/// the recorded counts: per step, its multiplies (elementary products plus
-/// the entries each fold touched) and the AC/BC line reduces, then the next
-/// step's slice broadcasts, whose payloads are the slices' entry counts.
+/// no operand slice, partial product or re-union is ever built. Each link's
+/// k window is cut to the rows its B block occupies (Csr::occupied_rows),
+/// so spgemm_fold's row_run on A skips, row by row, every A entry whose B
+/// row is empty. Such an entry makes no product and touches no accumulator
+/// slot, so the products and every FoldCount, hence every charge, are those
+/// of the uncut window. The step loop then replays the charge sequence of
+/// the step-by-step schedule from the recorded counts: per step, its
+/// multiplies (elementary products plus the entries each fold touched) and
+/// the AC/BC line reduces, then the next step's slice broadcasts, whose
+/// payloads are the slices' entry counts.
 ///
 /// The outer 3D driver runs layers concurrently, handing each layer a
 /// private ChargeLog that it replays into the real Sim in layer order at the
@@ -392,14 +397,21 @@ DistMatrix<typename M::value_type> spgemm_2d(sim::ChargeLog& log,
     const Range c_cols = cl.block_cols(i, j);
     auto link = [&](int ia, int jx, int ibx, int jb, Range rows, Range k,
                     Range cols) {
+      // The k window shrinks to the rows the B block occupies (empty when
+      // they miss it): an A entry outside them meets an empty B row.
+      const Csr<TB>& bb = b.block(ibx, jb);
+      const vid_t b_lo = bl.block_rows(ibx, jb).lo;
+      const auto [occ_lo, occ_hi] = bb.occupied_rows();
+      const vid_t k_lo = std::max(k.lo, b_lo + occ_lo);
+      const vid_t k_hi = std::max(k_lo, std::min(k.hi, b_lo + occ_hi));
       return Segment{&a.block(ia, jx),
-                     &b.block(ibx, jb),
+                     &bb,
                      rows.lo - c_rows.lo,
                      rows.hi - c_rows.lo,
                      al.block_rows(ia, jx).lo - c_rows.lo,
-                     k.lo,
-                     k.hi,
-                     bl.block_rows(ibx, jb).lo,
+                     k_lo,
+                     k_hi,
+                     b_lo,
                      cols.lo,
                      cols.hi};
     };

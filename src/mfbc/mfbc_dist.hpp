@@ -44,7 +44,7 @@ struct DistMfbcOptions {
   PlanMode plan_mode = PlanMode::kAuto;
   /// Replication factor c for CA-MFBC; p/c must be a perfect square.
   int replication_c = 1;
-  dist::TuneOptions tune;
+  dist::TuneOptions tune{};
   /// Optional adaptive tuner (tune/calibrate.hpp). When set and plan_mode is
   /// kAuto, every iteration re-plans through it: the calibrated model, the
   /// stream's measured frontier ratios, the persistent plan cache, and the
@@ -54,10 +54,10 @@ struct DistMfbcOptions {
   /// If non-empty, accumulate partial BC from these sources only. Ids must
   /// be in [0, n) and duplicate-free; run() throws mfbc::Error otherwise,
   /// before any distribution work starts.
-  std::vector<vid_t> sources;
+  std::vector<vid_t> sources{};
   /// Durable checkpoint directory and resume flag, forwarded to the shared
   /// batch driver (core/batch_driver.hpp BatchRunOptions).
-  std::string checkpoint_dir;
+  std::string checkpoint_dir{};
   bool resume = false;
   /// Version-stable planning for the serving layer (docs/serving.md): plan
   /// selection sees the adjacency nnz quantized to its power-of-two band
@@ -84,7 +84,7 @@ struct DistMfbcOptions {
   /// contract). Non-empty deltas are unpermuted to the caller's original
   /// vertex ids before the call; resume-replayed batches arrive with an
   /// empty delta, pass-through.
-  BatchRunOptions::BatchObserver on_batch;
+  BatchRunOptions::BatchObserver on_batch{};
 };
 
 using DistMfbcStats = DistBcStats;

@@ -87,7 +87,7 @@ struct MfbcOptions {
   vid_t batch_size = 64;
   /// If non-empty, compute partial (approximate) BC from these sources only;
   /// otherwise all n vertices are sources (exact BC).
-  std::vector<vid_t> sources;
+  std::vector<vid_t> sources{};
 };
 
 struct MfbcStats {

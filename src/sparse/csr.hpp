@@ -112,6 +112,18 @@ class Csr {
     return {first, last};
   }
 
+  /// Rows [first, last) from the first row that holds an entry to one past
+  /// the last, by two binary searches on the row pointers; {0, 0} when the
+  /// matrix holds no entry. Rows inside the span may be empty.
+  std::pair<vid_t, vid_t> occupied_rows() const {
+    if (empty()) return {0, 0};
+    const auto first =
+        std::upper_bound(rowptr_.begin(), rowptr_.end(), rowptr_.front());
+    const auto last = std::lower_bound(first, rowptr_.end(), rowptr_.back());
+    return {static_cast<vid_t>(first - rowptr_.begin()) - 1,
+            static_cast<vid_t>(last - rowptr_.begin())};
+  }
+
   nnz_t row_nnz(vid_t r) const {
     MFBC_DCHECK(r >= 0 && r < nrows_, "row out of range");
     return rowptr_[static_cast<std::size_t>(r) + 1] -

@@ -25,6 +25,7 @@
 #include "core/checkpoint.hpp"
 #include "dist/partition.hpp"
 #include "graph/generators.hpp"
+#include "graph/more_generators.hpp"
 #include "mfbc/adaptive.hpp"
 #include "mfbc/mfbc_dist.hpp"
 #include "sim/comm.hpp"
@@ -407,6 +408,7 @@ enum class PinGraph {
   kWeighted,    ///< ER(48, 200), weights U{1..100}: the MFBC rows
   kUnweighted,  ///< ER(48, 200): the CombBLAS rows
   kDense,       ///< ER(64, 800): the grid-shrink rows
+  kGrid,        ///< 8×8 grid, weights U{1..100}: a banded adjacency
 };
 
 struct PinRun {
@@ -445,6 +447,8 @@ Graph pin_graph(PinGraph kind) {
       return graph::erdos_renyi(48, 200, /*directed=*/false, {}, 7);
     case PinGraph::kDense:
       return graph::erdos_renyi(64, 800, /*directed=*/false, {}, 91);
+    case PinGraph::kGrid:
+      return graph::grid_2d(8, /*torus=*/false, {true, 1, 100}, 7);
   }
   return {};
 }
@@ -555,6 +559,15 @@ TEST(EnginePins, ChargesHoldPerConfiguration) {
          "1D-B[16]"},
         23, 23, 0, 0, 0,
         0x1.47ae147ae147bp+0, 0x1.1442e774cd541p+0, 0x0p+0}},
+      {{.name = "mfbc auto grid p16", .graph = PinGraph::kGrid, .p = 16},
+       {0x875dbcf10d66ecc6ull,
+        0x1.3cfcp+16, 0x1.284p+12,
+        0x1.3a2fa0fcb4963p-7, 0x1.a53572ed4c379p-16,
+        0x1.60bcp+15, 0x1.113cp+15,
+        {"1D-A[16]", "3D-A,BC[4x2x2]", "3D-B,AC[4x2x2]", "3D-B,AB[4x2x2]",
+         "1D-B[16]", "3D-A,AB[4x2x2]"},
+        70, 70, 0, 0, 0,
+        0x1.9249249249249p+1, 0x1.566d148d17068p+0, 0x0p+0}},
       {{.name = "mfbc ca c4", .p = 16, .mode = core::PlanMode::kFixedCa,
         .c = 4},
        {0x980cbeaf987a9e62ull,

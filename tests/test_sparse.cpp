@@ -137,6 +137,43 @@ TEST(Csr, EmptyMatrix) {
   EXPECT_EQ(a.row_nnz(2), 0);
 }
 
+using RowSpan = std::pair<vid_t, vid_t>;
+
+TEST(Csr, OccupiedRowsOfAZeroRowMatrixAreEmpty) {
+  EXPECT_EQ(Csr<double>().occupied_rows(), RowSpan(0, 0));
+  EXPECT_EQ(Csr<double>(0, 5).occupied_rows(), RowSpan(0, 0));
+}
+
+TEST(Csr, OccupiedRowsOfAnAllEmptyMatrixAreEmpty) {
+  EXPECT_EQ(Csr<double>(6, 4).occupied_rows(), RowSpan(0, 0));
+}
+
+TEST(Csr, OccupiedRowsWhenOnlyTheFirstRowHoldsEntries) {
+  Coo<double> coo(5, 4);
+  coo.push(0, 1, 1.0);
+  coo.push(0, 3, 2.0);
+  const auto a = Csr<double>::from_coo<SumMonoid>(std::move(coo));
+  EXPECT_EQ(a.occupied_rows(), RowSpan(0, 1));
+}
+
+TEST(Csr, OccupiedRowsWhenOnlyTheLastRowHoldsEntries) {
+  Coo<double> coo(5, 4);
+  coo.push(4, 0, 1.0);
+  const auto a = Csr<double>::from_coo<SumMonoid>(std::move(coo));
+  EXPECT_EQ(a.occupied_rows(), RowSpan(4, 5));
+}
+
+TEST(Csr, OccupiedRowsSpanEmptyRowsInside) {
+  // Rows 0-1 and 7-8 are empty, and so are rows 3 and 5 inside the span.
+  Coo<double> coo(9, 3);
+  coo.push(2, 0, 1.0);
+  coo.push(4, 1, 2.0);
+  coo.push(4, 2, 3.0);
+  coo.push(6, 2, 4.0);
+  const auto a = Csr<double>::from_coo<SumMonoid>(std::move(coo));
+  EXPECT_EQ(a.occupied_rows(), RowSpan(2, 7));
+}
+
 TEST(Csr, InvalidConstructionThrows) {
   EXPECT_THROW(Csr<double>(2, 2, {0, 1}, {0}, {1.0}), Error);       // rowptr len
   EXPECT_THROW(Csr<double>(1, 2, {0, 2}, {0}, {1.0}), Error);       // nnz

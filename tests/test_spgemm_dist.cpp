@@ -8,12 +8,14 @@
 #include <algorithm>
 #include <array>
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 
 #include "algebra/centpath.hpp"
 #include "algebra/multpath.hpp"
 #include "algebra/tropical.hpp"
 #include "dist/spgemm_dist.hpp"
+#include "sparse/ops.hpp"
 #include "sparse/spgemm.hpp"
 #include "support/hash.hpp"
 #include "support/rng.hpp"
@@ -193,10 +195,12 @@ TEST(DistSpgemm, EmptyOperandsYieldEmptyResult) {
 // the same bits. These pins use values whose sums do depend on the order of
 // the ⊕ folds: non-dyadic SumMonoid products, centpath ties whose factor
 // sums are non-dyadic, and a row whose k-steps cancel an entry to exactly 0
-// and then add the column back. Each row pins the gathered product's bits,
-// the per-rank ops, and the critical-path charges of one multiply.
+// and then add the column back. A banded B leaves whole rows of its layer
+// blocks empty, at either end and throughout. Each row pins the gathered
+// product's bits, the per-rank ops, and the critical-path charges of one
+// multiply.
 
-enum class PinInput { kSum, kCancel, kCentpath };
+enum class PinInput { kSum, kCancel, kCentpath, kBanded };
 
 /// Non-dyadic values in (-1, 1) \ {0}.
 Csr<double> nondyadic_csr(vid_t m, vid_t n, double density,
@@ -215,6 +219,16 @@ Csr<double> nondyadic_csr(vid_t m, vid_t n, double density,
 }
 
 constexpr vid_t kPinM = 29, kPinK = 31, kPinN = 27;
+
+/// A non-dyadic kPinK × kPinN B with entries only where |i − j| ≤ 2: each
+/// layer block holds a diagonal strip, so many of its rows are empty, and
+/// blocks off the diagonal hold nothing.
+Csr<double> banded_operand() {
+  return sparse::filter(nondyadic_csr(kPinK, kPinN, 1.0, 61),
+                        [](vid_t i, vid_t j, double) {
+                          return std::abs(i - j) <= 2;
+                        });
+}
 
 /// The cancelling input: A's row 0 meets column 5 of B through k = 1, 9, 17
 /// and 26 only, with products 1, -1, 0.3 and 0.7. Wherever the first two
@@ -373,6 +387,9 @@ BitMeasure measure_pin(const BitPin& pin) {
       return measure_bits<CentpathMonoid>(
           plan, centpath_frontier(kPinM, kPinK, 0.3, 53),
           small_weights(kPinK, kPinN, 0.3, 59), BrandesAction{});
+    case PinInput::kBanded:
+      return measure_bits<SumMonoid>(plan, nondyadic_csr(kPinM, kPinK, 0.3, 31),
+                                     banded_operand(), Times{});
   }
   return {};
 }
@@ -385,9 +402,10 @@ std::string bit_pin_row(const BitPin& pin, const BitMeasure& got) {
   const char* v2 = pin.v2 == Variant2D::kAB   ? "kAB"
                    : pin.v2 == Variant2D::kAC ? "kAC"
                                               : "kBC";
-  const char* in = pin.input == PinInput::kSum      ? "kSum"
-                   : pin.input == PinInput::kCancel ? "kCancel"
-                                                    : "kCentpath";
+  const char* in = pin.input == PinInput::kSum        ? "kSum"
+                   : pin.input == PinInput::kCancel   ? "kCancel"
+                   : pin.input == PinInput::kCentpath ? "kCentpath"
+                                                      : "kBanded";
   char buf[512];
   std::snprintf(buf, sizeof buf,
                 "{%d, %d, %d, Variant1D::%s, Variant2D::%s, PinInput::%s, "
@@ -402,7 +420,9 @@ std::string bit_pin_row(const BitPin& pin, const BitMeasure& got) {
 
 // Measured with the step-by-step 2D driver (operand slices per step, C
 // re-unioned after every step), so a change to the driver's ⊕ order, its
-// dropped entries or its charges shows here.
+// dropped entries or its charges shows here. The kBanded rows were measured
+// with the fold driver, before each link's k window was cut to the rows its
+// B block occupies.
 const BitPin kBitPins[] = {
     {1, 2, 2, Variant1D::kA, Variant2D::kAB, PinInput::kSum, 0x0b6c38d05afb480bull, 0x3e5056b986926416ull, 0x1.bb8p+10, 0x1.4p+4, 0x1.6362dc4eab6a3p-15, 0x1.1eb066b2081cdp-19},
     {1, 2, 2, Variant1D::kA, Variant2D::kAB, PinInput::kCancel, 0xa1edf5da1b9c8bb9ull, 0xfe903af40894b847ull, 0x1.b48p+10, 0x1.4p+4, 0x1.6312b0171ab4ep-15, 0x1.22fbe9ac11d28p-19},
@@ -446,6 +466,20 @@ const BitPin kBitPins[] = {
     {2, 3, 2, Variant1D::kB, Variant2D::kAB, PinInput::kSum, 0x274377a8b3da4cd9ull, 0x7e73a54efa58a2abull, 0x1.488p+10, 0x1.fp+5, 0x1.07b89746ea307p-13, 0x1.864e1e82325bp-20},
     {2, 3, 2, Variant1D::kB, Variant2D::kAB, PinInput::kCancel, 0xebe278ae2e4cc0aaull, 0xe19bfacbf667502cull, 0x1.43p+10, 0x1.fp+5, 0x1.07a8d7bc000cdp-13, 0x1.7858b4d592cccp-20},
     {2, 3, 2, Variant1D::kB, Variant2D::kAB, PinInput::kCentpath, 0x9d8724e73b35d3b1ull, 0xab1a0249840a3735ull, 0x1.d8p+10, 0x1.fp+5, 0x1.095379e3afd15p-13, 0x1.98059ac99a685p-20},
+    {1, 2, 2, Variant1D::kA, Variant2D::kAB, PinInput::kBanded, 0x423b82902237aa0full, 0x8d52e92e4f3b58c4ull, 0x1.9cp+10, 0x1.4p+4, 0x1.61fa1554a03aap-15, 0x1.df6cfc467bd43p-20},
+    {1, 2, 3, Variant1D::kA, Variant2D::kAB, PinInput::kBanded, 0x8a55439ce82f203aull, 0x2388c679ddacd4b4ull, 0x1.67p+10, 0x1.bp+5, 0x1.cd03f9840a358p-14, 0x1.2ecb91dbac86p-19},
+    {1, 3, 2, Variant1D::kA, Variant2D::kAB, PinInput::kBanded, 0x8a55439ce82f203aull, 0xd1ac833345d20793ull, 0x1.51p+10, 0x1.bp+5, 0x1.cc85fd2cb918bp-14, 0x1.0f1eabe7a4ea6p-19},
+    {1, 4, 4, Variant1D::kA, Variant2D::kAB, PinInput::kBanded, 0xc91f3b5e355ab203ull, 0x5c23cb91a4958191ull, 0x1.c9p+9, 0x1.cp+5, 0x1.dadf9e1ecd89ap-14, 0x1.01b2b29a4692cp-20},
+    {1, 2, 2, Variant1D::kA, Variant2D::kAC, PinInput::kBanded, 0x423b82902237aa0full, 0xe8108463875ef0d8ull, 0x1.39p+11, 0x1.4p+4, 0x1.6b8d13f755df8p-15, 0x1.d0ee223a9b0f2p-20},
+    {1, 2, 3, Variant1D::kA, Variant2D::kAC, PinInput::kBanded, 0x423b82902237aa0full, 0xe33b105720a48e8dull, 0x1.ebp+10, 0x1.bp+5, 0x1.cff7e38ff0e26p-14, 0x1.5127a9abfa333p-20},
+    {1, 3, 2, Variant1D::kA, Variant2D::kAC, PinInput::kBanded, 0x8c5fe40344abd660ull, 0xb3075e501e13724aull, 0x1.158p+11, 0x1.bp+5, 0x1.d166648df41efp-14, 0x1.570f7dc3c78cfp-20},
+    {1, 4, 4, Variant1D::kA, Variant2D::kAC, PinInput::kBanded, 0xc91f3b5e355ab203ull, 0x87425cec13eb3a57ull, 0x1.3d8p+10, 0x1.cp+5, 0x1.dcdd49800a09ep-14, 0x1.da9808ed30e7ep-21},
+    {1, 2, 2, Variant1D::kA, Variant2D::kBC, PinInput::kBanded, 0x423b82902237aa0full, 0x0d9f2bddc4592cf5ull, 0x1.2bp+11, 0x1.4p+4, 0x1.6a4c6319130a8p-15, 0x1.d0ee223a9b0f2p-20},
+    {1, 2, 3, Variant1D::kA, Variant2D::kBC, PinInput::kBanded, 0x8c5fe40344abd660ull, 0x3d809965f6190371ull, 0x1.118p+11, 0x1.bp+5, 0x1.d138946e33b75p-14, 0x1.b83bf11ce33abp-20},
+    {1, 3, 2, Variant1D::kA, Variant2D::kBC, PinInput::kBanded, 0x423b82902237aa0full, 0x8ddb03a3c5bb2112ull, 0x1.d2p+10, 0x1.bp+5, 0x1.cf68b92cb79ebp-14, 0x1.5ad1905e900bep-20},
+    {1, 4, 4, Variant1D::kA, Variant2D::kBC, PinInput::kBanded, 0xc91f3b5e355ab203ull, 0xcd213278ee33b2d0ull, 0x1.498p+10, 0x1.cp+5, 0x1.dd2201afaaa53p-14, 0x1.d426c47622576p-21},
+    {2, 2, 3, Variant1D::kA, Variant2D::kAC, PinInput::kBanded, 0x423b82902237aa0full, 0x74a91ae66eb8bdd1ull, 0x1.978p+10, 0x1.fp+5, 0x1.089acae3b02fcp-13, 0x1.7c1ac7705b4bap-21},
+    {2, 3, 2, Variant1D::kB, Variant2D::kAB, PinInput::kBanded, 0x8a55439ce82f203aull, 0x58e5433f1f57d3e2ull, 0x1.2cp+10, 0x1.fp+5, 0x1.0766fc8e5b77fp-13, 0x1.2d2f40bde8e1ep-20},
 };
 
 TEST(DistSpgemmBits, ProductsAndChargesHoldPerShape) {
