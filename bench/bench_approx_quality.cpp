@@ -3,7 +3,10 @@
 // exact-BC building blocks — but the standard large-graph practice both
 // CombBLAS and MFBC target is pivot approximation [4], and this quantifies
 // the cost/quality frontier the batch machinery offers: K pivots cost K/n
-// of the exact sweep.
+// of the exact sweep. Both tables run the one uniform-source sampler
+// (mfbc/adaptive.hpp) on the distributed engine: the pivot rows with a fixed
+// budget of K sources and no stop rule (eps = 0), the adaptive rows with
+// their (eps, delta) stop rule.
 #include <cmath>
 #include <cstdio>
 #include <string>
@@ -14,7 +17,6 @@
 #include "graph/generators.hpp"
 #include "graph/prep.hpp"
 #include "mfbc/adaptive.hpp"
-#include "mfbc/approx.hpp"
 #include "mfbc/mfbc_dist.hpp"
 #include "mfbc/ranking.hpp"
 #include "support/strutil.hpp"
@@ -49,18 +51,43 @@ int main(int argc, char** argv) {
            std::sqrt((n * sxx - sx * sx) * (n * syy - sy * sy));
   };
 
+  // One sampled run on a 4-rank DistMfbc: a budget of 0 means up to n
+  // sources. λ is scaled by n/k to exact-λ units.
+  constexpr double kDelta = 0.2;
+  auto sample = [&](double eps, graph::vid_t budget) {
+    sim::Sim sim(4, sim::MachineModel::blue_waters());
+    core::DistMfbc engine(sim, g);
+    core::AdaptiveSamplerOptions aopts;
+    aopts.eps = eps;
+    aopts.delta = kDelta;
+    aopts.seed = 2027;
+    aopts.batch_size = 64;
+    aopts.max_samples = budget;
+    return core::run_adaptive_bc(
+        g.n(), aopts,
+        [&](const std::vector<graph::vid_t>& srcs,
+            const core::BatchRunOptions::BatchObserver& ob, bool resume) {
+          core::DistMfbcOptions opts;
+          opts.batch_size = aopts.batch_size;
+          opts.sources = srcs;
+          opts.on_batch = ob;
+          opts.resume = resume;
+          return engine.run(opts);
+        });
+  };
+
   bench::Table tab({"pivots", "work vs exact", "top-10 overlap",
                     "top-50 overlap", "correlation"});
   for (graph::vid_t k : {16, 32, 64, 128, 256, 512}) {
     if (k > g.n()) break;
-    const auto approx = core::approx_bc(g, k, /*seed=*/2027, /*batch_size=*/64);
+    const core::AdaptiveSampleResult r = sample(/*eps=*/0.0, k);
     tab.add_row({std::to_string(k),
                  fixed(100.0 * static_cast<double>(k) /
                            static_cast<double>(g.n()),
                        1) + "%",
-                 fixed(100.0 * core::top_k_overlap(approx.bc, exact, 10), 0) + "%",
-                 fixed(100.0 * core::top_k_overlap(approx.bc, exact, 50), 0) + "%",
-                 fixed(pearson(approx.bc, exact), 4)});
+                 fixed(100.0 * core::top_k_overlap(r.lambda, exact, 10), 0) + "%",
+                 fixed(100.0 * core::top_k_overlap(r.lambda, exact, 50), 0) + "%",
+                 fixed(pearson(r.lambda, exact), 4)});
   }
   std::fputs(tab.render("Pivot-sampling quality on an R-MAT graph (n=" +
                         std::to_string(g.n()) + ")")
@@ -76,26 +103,9 @@ int main(int argc, char** argv) {
   bench::Table atab({"eps", "delta", "samples", "work vs exact", "stop",
                      "top-10 overlap", "correlation"});
   for (double eps : {0.4, 0.3, 0.2, 0.1}) {
-    sim::Sim sim(4, sim::MachineModel::blue_waters());
-    core::DistMfbc engine(sim, g);
-    core::AdaptiveSamplerOptions aopts;
-    aopts.eps = eps;
-    aopts.delta = 0.2;
-    aopts.seed = 2027;
-    aopts.batch_size = 64;
-    const core::AdaptiveSampleResult r = core::run_adaptive_bc(
-        g.n(), aopts,
-        [&](const std::vector<graph::vid_t>& srcs,
-            const core::BatchRunOptions::BatchObserver& ob, bool resume) {
-          core::DistMfbcOptions opts;
-          opts.batch_size = 64;
-          opts.sources = srcs;
-          opts.on_batch = ob;
-          opts.resume = resume;
-          return engine.run(opts);
-        });
+    const core::AdaptiveSampleResult r = sample(eps, /*budget=*/0);
     atab.add_row(
-        {fixed(eps, 2), fixed(aopts.delta, 2), std::to_string(r.samples_used),
+        {fixed(eps, 2), fixed(kDelta, 2), std::to_string(r.samples_used),
          fixed(100.0 * static_cast<double>(r.samples_used) /
                    static_cast<double>(g.n()),
                1) + "%",

@@ -1,8 +1,9 @@
 // Microbenchmarks of the sequential kernels (google-benchmark): generalized
 // SpGEMM over every monoid the library uses, elementwise ops, structural
-// ops, and format conversion. These calibrate the simulator's
-// seconds_per_op constant (see sim::tune_machine) and document the
-// single-rank performance baseline the distributed results build on.
+// ops, and format conversion. They document the single-rank performance
+// baseline the distributed results build on; tune::calibrate's
+// measure_flop_rate times the same kernel to correct the planning model's
+// seconds_per_op.
 #include <benchmark/benchmark.h>
 
 #include <string>

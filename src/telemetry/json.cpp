@@ -168,6 +168,11 @@ std::string Json::dump(int indent) const {
 
 namespace {
 
+/// Deepest array/object nesting parse accepts. The parser recurses once per
+/// bracket, so unbounded nesting would overflow the stack; the exporters
+/// write a handful of levels.
+constexpr int kMaxDepth = 512;
+
 class Parser {
  public:
   explicit Parser(std::string_view text) : text_(text) {}
@@ -214,14 +219,24 @@ class Parser {
   Json value() {
     skip_ws();
     switch (peek()) {
-      case '{': return object();
-      case '[': return array();
+      case '{':
+      case '[': return nested();
       case '"': return Json(string());
       case 't': if (consume("true")) return Json(true); fail("bad literal");
       case 'f': if (consume("false")) return Json(false); fail("bad literal");
       case 'n': if (consume("null")) return Json(nullptr); fail("bad literal");
       default: return number();
     }
+  }
+
+  Json nested() {
+    if (depth_ == kMaxDepth) {
+      fail("nesting deeper than " + std::to_string(kMaxDepth) + " levels");
+    }
+    ++depth_;
+    Json v = peek() == '{' ? object() : array();
+    --depth_;
+    return v;
   }
 
   Json object() {
@@ -325,6 +340,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace

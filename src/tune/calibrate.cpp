@@ -12,7 +12,6 @@
 #include "graph/generators.hpp"
 #include "sim/comm.hpp"
 #include "support/error.hpp"
-#include "support/parallel.hpp"
 #include "telemetry/registry.hpp"
 #include "telemetry/span.hpp"
 
@@ -317,6 +316,20 @@ Profile calibrate(const CalibrateOptions& opts) {
   return profile;
 }
 
+namespace {
+
+/// Switch plans only when the modelled win exceeds this multiple of the
+/// modelled re-homing cost.
+constexpr double kSwitchMargin = 1.0;
+/// A loaded calibrated profile is stale when the error its last run observed
+/// exceeds kStaleErrorFactor * max(err_after, kStaleErrorFloor). The floor
+/// keeps a near-perfect calibration (err_after ~ 0) from tripping on
+/// ordinary noise.
+constexpr double kStaleErrorFactor = 2.0;
+constexpr double kStaleErrorFloor = 0.05;
+
+}  // namespace
+
 Tuner::Tuner(Profile profile, TunerOptions opts)
     : profile_(std::move(profile)), opts_(opts) {
   if (opts_.use_cache && profile_.plans.is_array()) {
@@ -327,9 +340,9 @@ Tuner::Tuner(Profile profile, TunerOptions opts)
   // promised (err_after), the fitted scales no longer describe the workload
   // or the machine — warn once and expose profile_stale().
   if (profile_.calibration.calibrated() && profile_.observed_samples > 0) {
-    const double expected = std::max(profile_.calibration.err_after,
-                                     opts_.stale_error_floor);
-    if (profile_.observed_error > opts_.stale_error_factor * expected) {
+    const double expected =
+        std::max(profile_.calibration.err_after, kStaleErrorFloor);
+    if (profile_.observed_error > kStaleErrorFactor * expected) {
       stale_ = true;
       telemetry::count("tune.profile.stale");
       std::fprintf(stderr,
@@ -353,7 +366,8 @@ PlanKey Tuner::make_key(const PlanRequest& req,
   key.band_a = PlanKey::nnz_band(stats.nnz_a);
   key.band_b = PlanKey::nnz_band(stats.nnz_b);
   key.ranks = req.ranks;
-  key.threads = opts_.thread_scoped_cache ? support::num_threads() : 0;
+  // key.threads stays 0: plans must not depend on the pool size, or results
+  // would stop being bit-identical across thread counts.
   // The schedule axis is part of the request shape: a sync-only search and
   // an async-enabled search rank different candidate spaces, so their
   // winners live under different keys.
@@ -471,7 +485,7 @@ dist::Plan Tuner::plan(const PlanRequest& req) {
                 planning_mm.beta +
             2.0 * sim::log2_ceil(req.ranks) * planning_mm.alpha;
       }
-      if (win > opts_.switch_margin * switch_cost) {
+      if (win > kSwitchMargin * switch_cost) {
         ++switches_;
         telemetry::count("tune.plan.switches");
       } else {

@@ -121,24 +121,12 @@ struct CalibrateOptions {
 Profile calibrate(const CalibrateOptions& opts = {});
 
 struct TunerOptions {
+  /// Switch only when the modelled win exceeds the modelled switch cost.
   bool hysteresis = true;
-  /// Switch only when modelled_win > switch_margin · modelled_switch_cost.
-  double switch_margin = 1.0;
   bool use_cache = true;
   /// Correct the §5.2 ops/nnz(C) estimates with the stream's last measured
   /// ratios before planning.
   bool learn_ratios = true;
-  /// Key cache entries by pool thread count too. Off by default: plans must
-  /// not depend on pool size or results would stop being bit-identical
-  /// across thread counts (docs/autotuning.md).
-  bool thread_scoped_cache = false;
-  /// Staleness threshold for a loaded calibrated profile: flag it stale
-  /// when the error observed by the profile's last run exceeds
-  /// stale_error_factor * max(err_after, stale_error_floor). The floor
-  /// keeps a near-perfect calibration (err_after ~ 0) from tripping on
-  /// ordinary noise.
-  double stale_error_factor = 2.0;
-  double stale_error_floor = 0.05;
 };
 
 /// One plan request from the algorithm layer.
@@ -177,7 +165,7 @@ class Tuner {
   void save(const std::string& path) const;
 
   /// True when the loaded profile's recorded cross-run prediction error
-  /// drifted past the TunerOptions staleness threshold — the calibration no
+  /// drifted past twice max(err_after, 0.05) — the calibration no
   /// longer describes the workload; re-run --calibrate. Flagged (once, with
   /// a stderr warning and a tune.profile.stale counter bump) at
   /// construction; the tuner still runs, it just plans on scales that have

@@ -31,9 +31,9 @@ struct PlanKey {
   int band_a = 0;  ///< floor(log2(nnz_a)), -1 for an empty operand
   int band_b = 0;
   int ranks = 0;
-  /// Pool thread count, or 0 for thread-count-invariant entries (the
-  /// default: plan choices must not depend on pool size, or results would
-  /// stop being bit-identical across thread counts — docs/autotuning.md).
+  /// Always 0 from the Tuner: plan choices must not depend on pool size, or
+  /// results would stop being bit-identical across thread counts
+  /// (docs/autotuning.md). Kept in the key and the mfbc.tune.v1 entries.
   int threads = 0;
   /// Schedule axis of the request: 1 when the tuner was allowed to pick
   /// async-pipelined plans, 0 for sync-only. Keying on the request (not the

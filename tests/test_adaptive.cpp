@@ -299,6 +299,16 @@ TEST(AdaptiveExactness, EpsZeroIsBitEqualToExactRun) {
   for (std::size_t v = 0; v < truth.size(); ++v) {
     EXPECT_NEAR(r.lambda[v], truth[v], 1e-9 * (1.0 + truth[v]));
   }
+
+  // A budget above n clamps to n: the same drawn permutation, the same
+  // exhaustive stop and the same bits.
+  AdaptiveSamplerOptions over = aopts;
+  over.max_samples = 10 * g.n();
+  const AdaptiveSampleResult clamped = sampled_mfbc(g, over);
+  EXPECT_EQ(clamped.samples_used, g.n());
+  EXPECT_EQ(clamped.stop_reason, AdaptiveStop::kExhausted);
+  EXPECT_EQ(clamped.sources, r.sources);
+  expect_bits(clamped.lambda, r.lambda, "budget 10n vs unbounded");
 }
 
 // Feeding the executed prefix of the drawn permutation back into a plain

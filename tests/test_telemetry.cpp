@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <string>
 #include <thread>
 
 #include "sim/comm.hpp"
@@ -303,6 +304,25 @@ TEST(Json, ParseRejectsMalformedInput) {
   EXPECT_THROW(Json::parse("{\"a\":1} trailing"), ::mfbc::Error);
   EXPECT_THROW(Json::parse("nul"), ::mfbc::Error);
   EXPECT_THROW(Json::parse("\"unterminated"), ::mfbc::Error);
+}
+
+// Nesting is bounded: 100,000 brackets are a named parse error, not a
+// stack overflow, while the few levels the exporters write still parse.
+TEST(Json, ParseRejectsNestingPastTheDepthBound) {
+  for (const std::string& deep :
+       {std::string(100000, '['), std::string(100000, '{'),
+        std::string(100000, '[') + std::string(100000, ']')}) {
+    try {
+      Json::parse(deep);
+      ADD_FAILURE() << "100,000 nested brackets parsed";
+    } catch (const ::mfbc::Error& e) {
+      EXPECT_NE(std::string(e.what()).find("json parse error"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  const std::string shallow = std::string(64, '[') + std::string(64, ']');
+  EXPECT_EQ(Json::parse(shallow).dump(), shallow);
 }
 
 TEST(Json, TypedAccessorsThrowOnMismatch) {

@@ -92,6 +92,21 @@ TEST(Calibration, MicrobenchmarkFitIsSaneAndDeterministic) {
   EXPECT_EQ(a.to_json().dump(), b.to_json().dump());
 }
 
+// The host measurement only refines the flop-rate correction: it must give
+// a usable compute scale and leave the fitted α and β bit-equal.
+TEST(Calibration, MeasuredFlopRateRefinesComputeOnly) {
+  const Profile fitted = calibrate(small_calibration());
+  CalibrateOptions opts = small_calibration();
+  opts.measure_flop_rate = true;
+  const Profile measured = calibrate(opts);
+  const Calibration& c = measured.calibration;
+  EXPECT_TRUE(std::isfinite(c.compute_scale));
+  EXPECT_GT(c.compute_scale, 0.0);
+  EXPECT_NO_THROW(c.validate());
+  EXPECT_EQ(c.alpha_scale, fitted.calibration.alpha_scale);
+  EXPECT_EQ(c.beta_scale, fitted.calibration.beta_scale);
+}
+
 // ---- Profile persistence and validation ----
 
 TEST(Profile, RoundTripsThroughDisk) {
@@ -110,6 +125,18 @@ TEST(Profile, LoadRejectsTruncatedJson) {
   EXPECT_THROW(Profile::load(path), Error);
   EXPECT_EQ(try_load_profile(path, sim::MachineModel::blue_waters()),
             std::nullopt);
+  std::remove(path.c_str());
+}
+
+// A profile nested past the JSON depth bound falls back like any other
+// malformed file instead of overflowing the parser's stack.
+TEST(Profile, TryLoadFallsBackOnDeeplyNestedJson) {
+  const std::string path = temp_path("tune_deep.json");
+  write_file(path, std::string(100000, '['));
+  std::string error;
+  EXPECT_EQ(try_load_profile(path, sim::MachineModel::blue_waters(), &error),
+            std::nullopt);
+  EXPECT_NE(error.find("json parse error"), std::string::npos) << error;
   std::remove(path.c_str());
 }
 

@@ -1,9 +1,10 @@
 // mfbc — command-line driver for the library.
 //
-// Computes betweenness centrality (exact, pivot-approximate or
-// (eps,delta)-sampled) for a graph read from an edge-list / MatrixMarket
-// file or produced by the built-in generators, optionally on the simulated
-// distributed machine (printing the critical-path communication costs).
+// Computes betweenness centrality (exact; λ accumulated from sources
+// 0..K-1 only, not scaled; or (eps,delta)-sampled) for a graph read from an
+// edge-list / MatrixMarket file or produced by the built-in generators,
+// optionally on the simulated distributed machine (printing the
+// critical-path communication costs).
 //
 // Examples:
 //   mfbc --er 1000,4000 --top 5
@@ -35,7 +36,6 @@
 #include "mfbc/ranking.hpp"
 #include "sim/faults.hpp"
 #include "sim/machine.hpp"
-#include "sim/tuner.hpp"
 #include "support/error.hpp"
 #include "support/parallel.hpp"
 #include "support/strutil.hpp"
@@ -59,7 +59,7 @@ struct Args {
   bool giant = false;  // restrict to the largest weakly connected component
   std::string algo = "mfbc";  // mfbc | brandes | combblas
   graph::vid_t batch = 128;
-  graph::vid_t approx = 0;  // 0 = exact (all sources)
+  graph::vid_t approx = 0;  // 0 = all sources; K = sources 0..K-1 only
   bool adaptive = false;    // --approx eps,delta[,seed] (ε,δ)-sampling
   double approx_eps = 0.05;
   double approx_delta = 0.1;
@@ -74,8 +74,6 @@ struct Args {
   int c = 1;
   int top = 10;
   std::uint64_t seed = 1;
-  std::string model_file;  // tuned machine model for simulated runs
-  std::string tune_file;   // run the model tuner, save here, exit
   std::string tune_profile;    // adaptive plan tuner profile (load + save)
   std::string calibrate_file;  // run tune::calibrate, save here, exit
   bool explain_plan = false;   // print the candidate-plan table, don't run
@@ -103,7 +101,8 @@ void usage() {
       "computation:\n"
       "  --algo A            bc engine: mfbc (default) | brandes | combblas\n"
       "  --batch NB          source batch size (default 128)\n"
-      "  --approx K          use K pivot sources instead of all n\n"
+      "  --approx K          lambda accumulated from sources 0..K-1 only,\n"
+      "                      not scaled (every --algo)\n"
       "  --approx E,D[,S]    adaptive (eps,delta)-sampled BC on the batch\n"
       "                      driver (docs/approximation.md): seeded source\n"
       "                      sampling with per-vertex confidence intervals,\n"
@@ -140,8 +139,6 @@ void usage() {
       "                      is bit-identical across all three; only the\n"
       "                      per-rank load balance and charged cost differ\n"
       "machine model (simulated runs):\n"
-      "  --model FILE        load a tuned machine model (see --tune)\n"
-      "  --tune FILE         run the section 6.2 model tuner, save to FILE\n"
       "  --machine-profile S heterogeneous per-rank profiles as a comma list\n"
       "                      of COUNTxCLASS (cpu | accel | spare), e.g.\n"
       "                      '4xaccel,60xcpu'; trailing ranks default to cpu.\n"
@@ -201,8 +198,8 @@ Args parse(int argc, char** argv) {
     else if (f == "--algo") a.algo = need(i);
     else if (f == "--batch") a.batch = parse_int<graph::vid_t>(f, need(i));
     else if (f == "--approx") {
-      // Dual form: a plain integer keeps the legacy pivot-count estimator;
-      // a comma means the adaptive (ε,δ) sampler.
+      // Dual form: a plain integer K runs sources 0..K-1 only; a comma
+      // means the adaptive (ε,δ) sampler.
       const std::string v = need(i);
       if (v.find(',') != std::string::npos) {
         a.adaptive = true;
@@ -224,8 +221,6 @@ Args parse(int argc, char** argv) {
     else if (f == "--overlap-beta") a.overlap_beta = parse_rate(f, need(i));
     else if (f == "--c") a.c = parse_int<int>(f, need(i));
     else if (f == "--top") a.top = parse_int<int>(f, need(i));
-    else if (f == "--model") a.model_file = need(i);
-    else if (f == "--tune") a.tune_file = need(i);
     else if (f == "--tune-profile") a.tune_profile = need(i);
     else if (f == "--calibrate") a.calibrate_file = need(i);
     else if (f == "--explain-plan") a.explain_plan = true;
@@ -282,6 +277,8 @@ graph::Graph load_graph(const Args& a) {
   throw Error("no graph source given (try --help)");
 }
 
+/// --approx K: sources 0..K-1 (at most n). Every engine accumulates λ from
+/// these sources only and prints it unscaled.
 std::vector<graph::vid_t> pivot_sources(const graph::Graph& g,
                                         graph::vid_t k) {
   std::vector<graph::vid_t> out;
@@ -576,19 +573,7 @@ telemetry::Json baseline_block(const core::DistBcStats& stats) {
 
 int run(const Args& a) {
   if (a.threads > 0) support::set_threads(a.threads);
-  if (!a.tune_file.empty()) {
-    std::puts("running the model tuner (calibration kernels)...");
-    const sim::TuneResult r = sim::tune_machine();
-    sim::save_model_file(a.tune_file, r.model);
-    std::printf("measured %.1f Mops/s (kernel spread %.2fx); model written "
-                "to %s\n",
-                r.measured_ops_per_second / 1e6, r.spread,
-                a.tune_file.c_str());
-    return 0;
-  }
-  sim::MachineModel machine =
-      a.model_file.empty() ? sim::MachineModel::blue_waters()
-                           : sim::load_model_file(a.model_file);
+  sim::MachineModel machine = sim::MachineModel::blue_waters();
   if (a.overlap_beta >= 0) machine.overlap_beta = a.overlap_beta;
   int profile_spares = 0;  // spare-class ranks declared by --machine-profile
   if (!a.machine_profile.empty()) {
