@@ -299,9 +299,20 @@ TEST(AdaptiveExactness, EpsZeroIsBitEqualToExactRun) {
   for (std::size_t v = 0; v < truth.size(); ++v) {
     EXPECT_NEAR(r.lambda[v], truth[v], 1e-9 * (1.0 + truth[v]));
   }
+}
 
-  // A budget above n clamps to n: the same drawn permutation, the same
-  // exhaustive stop and the same bits.
+// A pivot budget above n clamps to n: the same drawn permutation, the same
+// exhaustive stop and the same bits as an unbounded run.
+TEST(ApproxBc, PivotCountClamped) {
+  const Graph g = graph::erdos_renyi(44, 150, false, {}, 7);
+  AdaptiveSamplerOptions aopts;
+  aopts.eps = 0.0;
+  aopts.delta = 0.1;
+  aopts.seed = 8;
+  aopts.batch_size = kBatch;
+  const AdaptiveSampleResult r = sampled_mfbc(g, aopts);
+  ASSERT_EQ(r.samples_used, g.n());
+
   AdaptiveSamplerOptions over = aopts;
   over.max_samples = 10 * g.n();
   const AdaptiveSampleResult clamped = sampled_mfbc(g, over);
